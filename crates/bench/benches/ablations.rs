@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for three modelling choices of the page-cache model:
 //! chunk size (block coalescing granularity), dirty ratio, and bandwidth
 //! sharing policy. Each reports the simulated makespan alongside the cost of
 //! simulating it.

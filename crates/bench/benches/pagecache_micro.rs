@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the core data structures: LRU list operations, the
-//! I/O controller fast path, and the discrete-event engine.
+//! I/O controller fast path, the kernel emulator's victim selection, and the
+//! discrete-event engine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use des::{SimTime, Simulation};
@@ -230,6 +231,50 @@ fn bench_io_controller(c: &mut Criterion) {
                         io.read_file(&"out".into(), file_gb * GB).await;
                     });
                     sim.run().as_secs()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+/// Steady-state eviction on a full kernel-emulator cache with `n` resident
+/// files: every iteration admits one new file and evicts one file's worth of
+/// clean pages, the least recently used file. Selecting that victim used to
+/// sort every resident file per call (O(n log n)); the clean victim index
+/// makes it O(log n).
+fn bench_kernel_emu(c: &mut Criterion) {
+    use kernel_emu::{KernelCache, KernelTuning};
+    let mut group = c.benchmark_group("kernel_emu");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for &files in &[1_000usize, 10_000, 100_000] {
+        group.bench_with_input(
+            BenchmarkId::new("evict_full_cache", files),
+            &files,
+            |b, &n| {
+                let sim = Simulation::new();
+                let ctx = sim.context();
+                let memory =
+                    MemoryDevice::new(&ctx, DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY));
+                let disk = Disk::new(
+                    &ctx,
+                    "d",
+                    DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
+                );
+                let tuning = KernelTuning::with_memory(n as f64 * MB);
+                let cache = KernelCache::new(&ctx, tuning, memory, disk);
+                // Equal access times: names order the victims, so the
+                // zero-padded sequence numbers make eviction FIFO.
+                for k in 0..n {
+                    cache.insert_clean(&FileId::new(format!("f{k:09}")), MB);
+                }
+                let mut next = n;
+                b.iter(|| {
+                    cache.insert_clean(&FileId::new(format!("f{next:09}")), MB);
+                    next += 1;
+                    cache.evict(MB, None)
                 })
             },
         );
@@ -473,6 +518,7 @@ criterion_group!(
     bench_lru_policies,
     bench_shared_resource,
     bench_io_controller,
+    bench_kernel_emu,
     bench_des_engine,
     bench_timer_schedulers,
     bench_traffic_generate

@@ -18,8 +18,8 @@
 //! | Fig. 7 (Exp 3, concurrent, NFS) | [`exp_concurrent::run_exp3`] | `fig7` |
 //! | Fig. 8 (simulation time) | [`simtime::run_simulation_time_measurement`] | `fig8` |
 //!
-//! Ground truth is provided by the `kernel-emu` crate (see `DESIGN.md` §5 for
-//! the substitution rationale); "paper-scale" runs use the full 250 GiB node
+//! Ground truth is provided by the `kernel-emu` crate (its crate docs give the
+//! rationale for emulating the paper's real cluster); "paper-scale" runs use the full 250 GiB node
 //! and 20–100 GB files, while tests use proportionally scaled-down inputs.
 
 #![warn(missing_docs)]

@@ -1,10 +1,10 @@
 //! The proof obligation of a scenario-adding PR: regenerating
 //! `baselines/golden.json` (new scenarios add metrics) must not move any
 //! **pre-existing** prediction. `baselines/golden_pr8.json` is the frozen
-//! snapshot of the baseline as it stood before the traffic tier (and is
-//! itself a superset of the pre-network-tier `golden_pr7.json`, the
-//! pre-fault-injection `golden_pr5.json` and the pre-readahead
-//! `golden_pr4.json`); every metric it pins must come out of today's
+//! snapshot of the baseline as it stood before the traffic tier (it holds,
+//! bit-identically, every metric of the earlier frozen snapshots taken
+//! before the readahead model, fault injection and the network tier); every
+//! metric it pins must come out of today's
 //! registry bit-identical — in particular, traffic generation and tenant
 //! cache groups are **off by default** and must not move anything.
 //!

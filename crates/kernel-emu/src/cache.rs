@@ -19,26 +19,57 @@
 //! # Mechanism vs. policy
 //!
 //! Like `pagecache::lru`, this module is *mechanism*: the file slab, the
-//! page accounting, the resident/durability range ledgers, and the
-//! clean/dirty membership chains. The *decisions* — in what order files are
-//! picked as eviction victims, whether a file gets a second chance, and how
-//! re-accessed files are classified — are delegated to the
-//! [`ReplacementPolicy`] configured via [`KernelTuning::eviction_policy`].
-//! Because the emulator tracks occupancy per file (not per block), it
-//! consumes the trait's *file-granular* hooks, driven off a per-file
-//! [`FileMeta`] stored in each slab slot: `file_admit` on inserts,
-//! `file_touch` on re-accesses, `file_rank` as the victim-ordering prefix
-//! (eviction sorts candidates by `(rank, last_access, file name)`),
-//! `file_second_chance` during the protection pass of [`KernelCache::evict`]
-//! and `file_on_evict` when a file's pages are fully reclaimed. Writeback
-//! order stays policy-independent: it is a durability concern (oldest dirty
-//! data first), not a replacement decision. The default
+//! page accounting, the resident/durability range ledgers, and the victim
+//! indexes. The *decisions* — in what order files are picked as eviction
+//! victims, whether a file gets a second chance, and how re-accessed files
+//! are classified — are delegated to the [`ReplacementPolicy`] configured via
+//! [`KernelTuning::eviction_policy`]. Because the emulator tracks occupancy
+//! per file (not per block), it consumes the trait's *file-granular* hooks,
+//! driven off a per-file [`FileMeta`] stored in each slab slot: `file_admit`
+//! on inserts, `file_touch` on re-accesses, `file_rank` as the
+//! victim-ordering prefix, `file_second_chance` during the protection pass of
+//! [`KernelCache::evict`] and `file_on_evict` when a file's pages are fully
+//! reclaimed. Writeback order stays policy-independent: it is a durability
+//! concern (oldest dirty data first), not a replacement decision. The default
 //! [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every file 0
 //! and grants no second chances, reproducing the historical behaviour
 //! exactly.
+//!
+//! # Victim indexes
+//!
+//! Eviction and writeback take their victims from two ordered indexes
+//! (`BTreeMap`s from victim-order key to slab slot), so each victim costs
+//! O(log F) for F indexed files:
+//!
+//! | index | members | key | used by |
+//! |---|---|---|---|
+//! | clean | files with clean bytes > `EPS` | `(file_rank, last_access, file)` | [`KernelCache::evict`], [`KernelCache::evict_group`] |
+//! | dirty | files with dirty bytes > `EPS` | `(oldest_dirty, file)` | [`KernelCache::write_back`], [`KernelCache::write_back_group`] |
+//!
+//! `file_rank` reads nothing but the file's own [`FileMeta`], so a key
+//! changes only where a slot's pages, `last_access` or `meta` change: the
+//! inserts, [`KernelCache::touch`], the eviction passes (evicted bytes and the
+//! second-chance hook), the writebacks and `fsync`. Each of those sites calls
+//! `State::reindex`, which moves the slot's entries when its keys or its
+//! membership changed; invalidation and crashes drop them. A walk never
+//! mutates the index it walks — the slots it changed are re-keyed when the
+//! call ends — so every call visits exactly the candidates, in exactly the
+//! order, of the collect-and-sort it replaced. That sort survives as the
+//! reference of the debug oracle and the differential tests.
+//!
+//! Expired-dirty writeback walks the intrusive has-dirty chain instead: it
+//! sums `f64` dirty byte counts in chain order, and any other summation order
+//! would move predictions in the last bits. Chain order is defined as if
+//! every writeback call unlinked the members without dirty bytes: a member
+//! that holds none across a writeback call re-enters at the tail when it is
+//! dirtied again. The indexed writebacks do not walk the chain, so they only
+//! count their calls (`State::dirty_prunes`) and each member records when it
+//! lost its dirty bytes (`FileSlot::stale_since`);
+//! [`KernelCache::write_back_expired`] unlinks such members as it walks.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
@@ -54,10 +85,11 @@ const EPS: f64 = 1e-6;
 /// Slot index into the file slab. `NIL` terminates a chain.
 const NIL: u32 = u32::MAX;
 
-/// Chain dimensions threaded through [`FileSlot`]s: files that (may) hold
-/// clean pages, and files that (may) hold dirty pages.
-const CLEAN: usize = 0;
-const DIRTY: usize = 1;
+/// Clean-index key: eviction order `(policy rank, last access, file name)`.
+type CleanKey = (u32, SimTime, FileId);
+
+/// Dirty-index key: writeback order `(oldest dirty time, file name)`.
+type DirtyKey = (SimTime, FileId);
 
 /// Sorted, disjoint, half-open byte ranges: the emulator's record of *which*
 /// offsets of a file are resident in the cache. The float aggregates of
@@ -171,7 +203,7 @@ impl RangeSet {
     }
 }
 
-/// One prev/next pair of an intrusive membership chain.
+/// One prev/next pair of the intrusive has-dirty chain.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
@@ -183,7 +215,7 @@ const UNLINKED: Link = Link {
     next: NIL,
 };
 
-/// Endpoints of one membership chain.
+/// Endpoints of the has-dirty chain.
 #[derive(Debug, Clone, Copy)]
 struct Chain {
     head: u32,
@@ -277,8 +309,53 @@ pub struct KernelCacheCounters {
     pub throttle_stall_seconds: f64,
 }
 
-/// One file's slab slot: its page accounting plus the intrusive links of the
-/// two membership chains (same per-file chain idea as `pagecache::lru`).
+/// Host-cost counters of the victim walks: how often eviction and writeback
+/// ran and how many candidate files they visited. Plain integer counts that
+/// no prediction reads; a visited-per-call figure that grows with the
+/// number of cached files marks a return to whole-cache scans.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ScanCounters {
+    /// Calls of [`KernelCache::evict`] and [`KernelCache::evict_group`].
+    pub evict_calls: u64,
+    /// Candidate files visited by those calls, skipped ones included.
+    pub evict_visited: u64,
+    /// Calls of [`KernelCache::write_back`] and
+    /// [`KernelCache::write_back_group`].
+    pub write_back_calls: u64,
+    /// Candidate files visited by those calls.
+    pub write_back_visited: u64,
+}
+
+/// Cursor of one victim walk: the last key visited in an index, or (for the
+/// reference order of the differential tests) the position in a sorted list.
+struct Walk<K> {
+    at: Option<K>,
+    pos: usize,
+}
+
+impl<K: Ord + Clone> Walk<K> {
+    fn new() -> Self {
+        Walk { at: None, pos: 0 }
+    }
+
+    /// The next slot of `sorted` when given, else of `index` after the last
+    /// visited key. O(log F).
+    fn next(&mut self, index: &BTreeMap<K, u32>, sorted: Option<&[u32]>) -> Option<u32> {
+        if let Some(order) = sorted {
+            self.pos += 1;
+            return order.get(self.pos - 1).copied();
+        }
+        let (key, &i) = match &self.at {
+            None => index.iter().next(),
+            Some(at) => index.range((Excluded(at), Unbounded)).next(),
+        }?;
+        self.at = Some(key.clone());
+        Some(i)
+    }
+}
+
+/// One file's slab slot: its page accounting, its victim-index keys and its
+/// link in the has-dirty chain (same per-file chain idea as `pagecache::lru`).
 #[derive(Debug, Clone)]
 struct FileSlot {
     file: FileId,
@@ -298,10 +375,19 @@ struct FileSlot {
     /// aggregates: overlapping rewrites inflate the aggregates but not the
     /// ledger.
     dirty: RangeSet,
-    /// Links indexed by [`CLEAN`] / [`DIRTY`].
-    links: [Link; 2],
-    /// Whether the slot is currently a member of each chain.
-    linked: [bool; 2],
+    /// `(rank, last_access)` of the slot's clean-index entry, `None` when
+    /// the file holds no clean bytes.
+    clean_key: Option<(u32, SimTime)>,
+    /// Oldest-dirty time of the slot's dirty-index entry, `None` when the
+    /// file holds no dirty bytes.
+    dirty_key: Option<SimTime>,
+    /// Link in the has-dirty chain.
+    link: Link,
+    /// Whether the slot is a member of the has-dirty chain.
+    linked: bool,
+    /// For a chain member without dirty bytes: `State::dirty_prunes` when it
+    /// lost them. A writeback call since then counts as having unlinked it.
+    stale_since: Option<u64>,
 }
 
 /// Incrementally maintained byte totals of one cache group (tenant) — the
@@ -314,16 +400,30 @@ struct GroupBytes {
 
 struct State {
     /// File name -> slab slot. The sorted index is kept for
-    /// [`KernelCache::cached_per_file`] snapshots; per-page-state traversal
-    /// goes through the membership chains instead of scanning this map.
+    /// [`KernelCache::cached_per_file`] snapshots; victim selection goes
+    /// through the victim indexes instead of scanning this map.
     index: BTreeMap<FileId, u32>,
     slots: Vec<Option<FileSlot>>,
     free_slots: Vec<u32>,
-    /// Membership chains indexed by [`CLEAN`] / [`DIRTY`]: a conservative
-    /// superset of the files with clean / dirty pages. Writeback and eviction
-    /// walk these chains — visiting only candidate files — and lazily unlink
-    /// members that no longer qualify.
-    chains: [Chain; 2],
+    /// Eviction order over exactly the files holding clean bytes.
+    clean_index: BTreeMap<CleanKey, u32>,
+    /// Writeback order over exactly the files holding dirty bytes.
+    dirty_index: BTreeMap<DirtyKey, u32>,
+    /// Has-dirty chain: a superset of the files with dirty pages, in
+    /// first-dirtied order, pruned lazily by [`KernelCache::write_back_expired`].
+    chain: Chain,
+    /// Writeback calls so far; each counts as unlinking the chain members
+    /// without dirty bytes (see the module docs).
+    dirty_prunes: u64,
+    scans: ScanCounters,
+    /// Drive the victim walks from the reference sort instead of the indexes
+    /// (differential tests only).
+    #[cfg(test)]
+    reference: bool,
+    /// Every `(victim, bytes)` step of the eviction and writeback walks, in
+    /// order (differential tests only).
+    #[cfg(test)]
+    victims: Vec<(FileId, f64)>,
     anonymous: f64,
     /// Incrementally maintained sum of `FilePages::cached` over all files,
     /// so that [`KernelCache::cached`] (polled on every simulated request) is
@@ -370,8 +470,11 @@ impl State {
             meta: FileMeta::default(),
             resident: RangeSet::default(),
             dirty: RangeSet::default(),
-            links: [UNLINKED; 2],
-            linked: [false, false],
+            clean_key: None,
+            dirty_key: None,
+            link: UNLINKED,
+            linked: false,
+            stale_since: None,
         };
         let i = match self.free_slots.pop() {
             Some(i) => {
@@ -389,66 +492,313 @@ impl State {
         i
     }
 
-    /// Links slot `i` into chain `dim` (no-op if already a member). O(1).
-    fn link(&mut self, i: u32, dim: usize) {
-        if self.slot(i).linked[dim] {
+    /// Body of [`KernelCache::insert_clean_range`] at time `now`.
+    fn insert_clean(&mut self, file: &FileId, start: f64, end: f64, now: SimTime) -> f64 {
+        let i = self.ensure_slot(file);
+        let added = {
+            let st = &mut *self;
+            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+            let added = (end - start) - slot.resident.covered_len(start, end);
+            slot.resident.insert(start, end);
+            slot.pages.inactive_clean += added;
+            slot.pages.last_access = now;
+            st.policy.file_admit(&slot.file, &mut slot.meta);
+            added
+        };
+        self.reindex(i);
+        if added > EPS {
+            self.cached_total += added;
+            self.group_adjust(file, added, 0.0);
+        }
+        added
+    }
+
+    /// Body of [`KernelCache::insert_dirty_range`] at time `now`.
+    fn insert_dirty(&mut self, file: &FileId, start: f64, end: f64, now: SimTime) {
+        let i = self.ensure_slot(file);
+        // A member that held no dirty bytes across a writeback call counts
+        // as unlinked by it, so it re-enters at the tail.
+        if self
+            .slot(i)
+            .stale_since
+            .is_some_and(|e| self.dirty_prunes > e)
+        {
+            self.unlink(i);
+        }
+        let (added, redirtied) = {
+            let st = &mut *self;
+            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+            st.policy.file_admit(&slot.file, &mut slot.meta);
+            let overlap = slot.resident.covered_len(start, end);
+            let added = (end - start) - overlap;
+            slot.resident.insert(start, end);
+            slot.dirty.insert(start, end);
+            let pages = &mut slot.pages;
+            pages.inactive_dirty += added;
+            // Overlapped pages turn dirty where they sit; pages of the
+            // overlap that were already dirty need no accounting change.
+            let redirty_inactive = pages.inactive_clean.min(overlap);
+            pages.inactive_clean -= redirty_inactive;
+            pages.inactive_dirty += redirty_inactive;
+            let redirty_active = pages.active_clean.min(overlap - redirty_inactive);
+            pages.active_clean -= redirty_active;
+            pages.active_dirty += redirty_active;
+            pages.last_access = now;
+            if pages.oldest_dirty.is_none() {
+                pages.oldest_dirty = Some(now);
+            }
+            (added, redirty_inactive + redirty_active)
+        };
+        self.link(i);
+        self.reindex(i);
+        self.cached_total += added;
+        self.dirty_total += added + redirtied;
+        self.group_adjust(file, added, added + redirtied);
+    }
+
+    /// Brings slot `i`'s victim-index entries in line with its page state:
+    /// inserts, re-keys or removes each entry as membership and key demand.
+    /// O(log F); a no-op when nothing changed. Called after every mutation
+    /// of a slot's pages, `last_access` or policy metadata.
+    fn reindex(&mut self, i: u32) {
+        let st = &mut *self;
+        let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+        let clean = (slot.pages.clean() > EPS)
+            .then(|| (st.policy.file_rank(&slot.meta), slot.pages.last_access));
+        if clean != slot.clean_key {
+            if let Some((rank, t)) = slot.clean_key {
+                st.clean_index.remove(&(rank, t, slot.file.clone()));
+            }
+            if let Some((rank, t)) = clean {
+                st.clean_index.insert((rank, t, slot.file.clone()), i);
+            }
+            slot.clean_key = clean;
+        }
+        let dirty = (slot.pages.dirty() > EPS).then(|| dirty_time(&slot.pages));
+        if dirty != slot.dirty_key {
+            if let Some(t) = slot.dirty_key {
+                st.dirty_index.remove(&(t, slot.file.clone()));
+            }
+            if let Some(t) = dirty {
+                st.dirty_index.insert((t, slot.file.clone()), i);
+            }
+            slot.dirty_key = dirty;
+        }
+        if slot.linked && dirty.is_none() {
+            slot.stale_since.get_or_insert(st.dirty_prunes);
+        } else {
+            slot.stale_since = None;
+        }
+    }
+
+    /// Drops slot `i` from both victim indexes and the has-dirty chain.
+    fn deindex(&mut self, i: u32) {
+        self.unlink(i);
+        let slot = self.slot_mut(i);
+        let file = slot.file.clone();
+        let (clean, dirty) = (slot.clean_key.take(), slot.dirty_key.take());
+        if let Some((rank, t)) = clean {
+            self.clean_index.remove(&(rank, t, file.clone()));
+        }
+        if let Some(t) = dirty {
+            self.dirty_index.remove(&(t, file));
+        }
+    }
+
+    /// Links slot `i` at the tail of the has-dirty chain (no-op if already a
+    /// member). O(1).
+    fn link(&mut self, i: u32) {
+        if self.slot(i).linked {
             return;
         }
-        let tail = self.chains[dim].tail;
+        let tail = self.chain.tail;
         {
             let s = self.slot_mut(i);
-            s.linked[dim] = true;
-            s.links[dim] = Link {
+            s.linked = true;
+            s.link = Link {
                 prev: tail,
                 next: NIL,
             };
         }
         if tail != NIL {
-            self.slot_mut(tail).links[dim].next = i;
+            self.slot_mut(tail).link.next = i;
         } else {
-            self.chains[dim].head = i;
+            self.chain.head = i;
         }
-        self.chains[dim].tail = i;
+        self.chain.tail = i;
     }
 
-    /// Unlinks slot `i` from chain `dim` (no-op if not a member). O(1).
-    fn unlink(&mut self, i: u32, dim: usize) {
-        if !self.slot(i).linked[dim] {
+    /// Unlinks slot `i` from the has-dirty chain (no-op if not a member).
+    /// O(1).
+    fn unlink(&mut self, i: u32) {
+        if !self.slot(i).linked {
             return;
         }
-        let Link { prev, next } = self.slot(i).links[dim];
+        let Link { prev, next } = self.slot(i).link;
         if prev != NIL {
-            self.slot_mut(prev).links[dim].next = next;
+            self.slot_mut(prev).link.next = next;
         } else {
-            self.chains[dim].head = next;
+            self.chain.head = next;
         }
         if next != NIL {
-            self.slot_mut(next).links[dim].prev = prev;
+            self.slot_mut(next).link.prev = prev;
         } else {
-            self.chains[dim].tail = prev;
+            self.chain.tail = prev;
         }
         let s = self.slot_mut(i);
-        s.links[dim] = UNLINKED;
-        s.linked[dim] = false;
+        s.link = UNLINKED;
+        s.linked = false;
+        s.stale_since = None;
     }
 
-    /// Collects the members of chain `dim` that still satisfy `qualifies`,
-    /// lazily unlinking the ones that no longer do. The result is unordered;
-    /// callers sort it to reproduce the historical (timestamp, file-name)
-    /// selection order exactly.
-    fn chain_candidates(&mut self, dim: usize, qualifies: impl Fn(&FilePages) -> bool) -> Vec<u32> {
+    /// The has-dirty chain members that hold dirty bytes, in chain order,
+    /// unlinking the ones that no longer do. O(chain length); only
+    /// [`KernelCache::write_back_expired`] needs the chain order, because
+    /// it sums `f64` byte counts in it.
+    fn chain_candidates(&mut self) -> Vec<u32> {
         let mut out = Vec::new();
-        let mut i = self.chains[dim].head;
+        let mut i = self.chain.head;
         while i != NIL {
-            let next = self.slot(i).links[dim].next;
-            if qualifies(&self.slot(i).pages) {
+            let next = self.slot(i).link.next;
+            if self.slot(i).pages.dirty() > EPS {
                 out.push(i);
             } else {
-                self.unlink(i, dim);
+                self.unlink(i);
             }
             i = next;
         }
         out
+    }
+
+    /// Reclaims up to `amount` clean bytes, walking the clean index from the
+    /// front: files of other groups (when `group` is set) and `exclude` are
+    /// skipped. The first pass also skips files being written (when
+    /// `protect` is set) and grants reference-bit second chances; a second
+    /// pass without those skips runs only if the first fell short. Returns
+    /// the evicted amount. O(log F) per visited file.
+    fn reclaim(
+        &mut self,
+        amount: f64,
+        exclude: Option<&FileId>,
+        group: Option<u32>,
+        protect: bool,
+    ) -> f64 {
+        #[cfg(test)]
+        let reference = self.reference.then(|| self.reference_clean_order());
+        #[cfg(not(test))]
+        let reference: Option<Vec<u32>> = None;
+        self.scans.evict_calls += 1;
+        let use_ref = self.policy.uses_reference_bits();
+        let mut evicted = 0.0;
+        // Slots whose keys may have changed; re-keyed once the walks end so
+        // that the index a walk iterates stays frozen for the whole call.
+        let mut touched = Vec::new();
+        // First pass: respect the write-open protection (and, under a
+        // reference-bit policy, grant referenced files one second chance);
+        // second pass: ignore both if we are still short (the kernel will
+        // reclaim those pages too under sufficient pressure).
+        for respect_protection in [true, false] {
+            let mut walk = Walk::new();
+            loop {
+                if evicted >= amount - EPS {
+                    break;
+                }
+                let Some(i) = walk.next(&self.clean_index, reference.as_deref()) else {
+                    break;
+                };
+                self.scans.evict_visited += 1;
+                let st = &mut *self;
+                let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+                if exclude.is_some_and(|f| f == &slot.file)
+                    || group.is_some_and(|g| st.group_of.get(&slot.file) != Some(&g))
+                    || (respect_protection && protect && slot.pages.write_open)
+                {
+                    continue;
+                }
+                if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta) {
+                    touched.push(i);
+                    continue;
+                }
+                let removed = slot.pages.evict_clean(amount - evicted);
+                if removed > EPS {
+                    // Keep the range view in sync: reclaimed pages leave from
+                    // the lowest offsets (the LRU end under sequential
+                    // access).
+                    slot.resident.trim_front(removed);
+                    if slot.pages.cached() <= EPS {
+                        st.policy.file_on_evict(&slot.file, &slot.meta);
+                    }
+                    let f = slot.file.clone();
+                    st.group_adjust(&f, -removed, 0.0);
+                }
+                if removed > 0.0 {
+                    touched.push(i);
+                    #[cfg(test)]
+                    self.victims.push((self.slot(i).file.clone(), removed));
+                }
+                evicted += removed;
+            }
+            if evicted >= amount - EPS || (!protect && !use_ref) {
+                break;
+            }
+        }
+        for i in touched {
+            self.reindex(i);
+        }
+        self.counters.evicted += evicted;
+        self.cached_total = (self.cached_total - evicted).max(0.0);
+        evicted
+    }
+
+    /// Marks up to `amount` dirty bytes clean, oldest dirty file first,
+    /// walking the dirty index from the front and skipping files of other
+    /// groups when `group` is set. The caller counts the bytes and simulates
+    /// the disk write. Returns the amount cleaned. O(log F) per visited
+    /// file.
+    fn flush(&mut self, amount: f64, group: Option<u32>) -> f64 {
+        #[cfg(test)]
+        let reference = self.reference.then(|| {
+            // The reference prunes the chain for real (see `dirty_prunes`).
+            self.chain_candidates();
+            self.reference_dirty_order()
+        });
+        #[cfg(not(test))]
+        let reference: Option<Vec<u32>> = None;
+        self.scans.write_back_calls += 1;
+        self.dirty_prunes += 1;
+        let mut flushed = 0.0;
+        let mut touched = Vec::new();
+        let mut walk = Walk::new();
+        loop {
+            if flushed >= amount - EPS {
+                break;
+            }
+            let Some(i) = walk.next(&self.dirty_index, reference.as_deref()) else {
+                break;
+            };
+            self.scans.write_back_visited += 1;
+            if group.is_some_and(|g| self.group_of.get(&self.slot(i).file) != Some(&g)) {
+                continue;
+            }
+            let slot = self.slot_mut(i);
+            let cleaned = slot.pages.clean_dirty(amount - flushed);
+            flushed += cleaned;
+            if cleaned > 0.0 {
+                // Partial writeback cleans the durability ledger from the
+                // lowest offsets (deterministic approximation).
+                slot.dirty.trim_front(cleaned);
+                let f = slot.file.clone();
+                self.group_adjust(&f, 0.0, -cleaned);
+                touched.push(i);
+                #[cfg(test)]
+                self.victims.push((f, cleaned));
+            }
+        }
+        for i in touched {
+            self.reindex(i);
+        }
+        self.dirty_total = (self.dirty_total - flushed).max(0.0);
+        flushed
     }
 
     /// Applies byte deltas to the cache-group aggregates of `file` (no-op
@@ -463,15 +813,64 @@ impl State {
         gb.dirty = (gb.dirty + d_dirty).max(0.0);
     }
 
-    /// Scan-based oracle for the incremental totals and the membership
-    /// chains; compiled into debug builds only.
+    /// Scan-based oracle for the incremental totals, the victim indexes and
+    /// the has-dirty chain; compiled into debug builds only. O(F).
     #[inline]
     fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         {
-            let live = || self.slots.iter().flatten();
-            let cached: f64 = live().map(|s| s.pages.cached()).sum();
-            let dirty: f64 = live().map(|s| s.pages.dirty()).sum();
+            debug_assert_eq!(self.index.len() + self.free_slots.len(), self.slots.len());
+            let (mut cached, mut dirty) = (0.0, 0.0);
+            let mut group_scan: HashMap<u32, GroupBytes> = HashMap::new();
+            let (mut clean_members, mut dirty_members) = (0, 0);
+            for (file, &i) in &self.index {
+                let s = self.slot(i);
+                debug_assert!(&s.file == file, "file {file}: slot holds {}", s.file);
+                let (file_cached, file_dirty) = (s.pages.cached(), s.pages.dirty());
+                cached += file_cached;
+                dirty += file_dirty;
+                // Group aggregates must match a scan through the assignment
+                // map.
+                if let Some(&g) = self.group_of.get(file) {
+                    let gb = group_scan.entry(g).or_default();
+                    gb.cached += file_cached;
+                    gb.dirty += file_dirty;
+                }
+                // The resident ranges and the float aggregates must describe
+                // the same number of bytes, and the spans must be sorted and
+                // disjoint.
+                let resident = s.resident.total();
+                debug_assert!(
+                    (resident - file_cached).abs() <= 1e-3 + 1e-6 * file_cached.abs(),
+                    "file {file}: resident ranges {resident} != cached bytes {file_cached}"
+                );
+                for w in s.resident.spans.windows(2) {
+                    debug_assert!(
+                        w[0].1 <= w[1].0 + EPS,
+                        "file {file}: overlapping/unsorted resident spans"
+                    );
+                }
+                // The recorded victim-index keys must match the slot state.
+                let clean = (s.pages.clean() > EPS)
+                    .then(|| (self.policy.file_rank(&s.meta), s.pages.last_access));
+                debug_assert_eq!(s.clean_key, clean, "file {file}: stale clean-index key");
+                let dirty_key = (file_dirty > EPS).then(|| dirty_time(&s.pages));
+                debug_assert_eq!(s.dirty_key, dirty_key, "file {file}: stale dirty-index key");
+                clean_members += usize::from(clean.is_some());
+                dirty_members += usize::from(dirty_key.is_some());
+                // Every file with dirty bytes must be a has-dirty chain
+                // member (the chain may conservatively hold more; it is
+                // pruned lazily), and the members without are marked.
+                debug_assert!(
+                    file_dirty <= EPS || s.linked,
+                    "file {file} holds dirty bytes but is not in the has-dirty chain"
+                );
+                debug_assert_eq!(
+                    s.stale_since.is_some(),
+                    s.linked && dirty_key.is_none(),
+                    "file {file}: wrong stale mark"
+                );
+            }
             debug_assert!(
                 (self.cached_total - cached).abs() <= EPS + 1e-9 * cached.abs(),
                 "cached_total {} != scan {}",
@@ -484,16 +883,6 @@ impl State {
                 self.dirty_total,
                 dirty
             );
-            debug_assert_eq!(self.index.len() + self.free_slots.len(), self.slots.len());
-            // Group aggregates must match a scan through the assignment map.
-            let mut group_scan: HashMap<u32, GroupBytes> = HashMap::new();
-            for slot in live() {
-                if let Some(&g) = self.group_of.get(&slot.file) {
-                    let gb = group_scan.entry(g).or_default();
-                    gb.cached += slot.pages.cached();
-                    gb.dirty += slot.pages.dirty();
-                }
-            }
             for (&g, gb) in &self.group_bytes {
                 let sc = group_scan.get(&g).copied().unwrap_or_default();
                 debug_assert!(
@@ -509,56 +898,97 @@ impl State {
                     sc.dirty
                 );
             }
-            // The per-file resident ranges and the float aggregates must
-            // describe the same number of bytes, and the spans must be
-            // sorted and disjoint.
-            for (file, &i) in &self.index {
+            // Each index holds one entry per qualifying file, under the key
+            // its slot records, and consecutive entries are strictly ordered
+            // by the reference comparator: iteration order equals the
+            // reference sort of exactly the qualifying files.
+            debug_assert_eq!(self.clean_index.len(), clean_members);
+            debug_assert_eq!(self.dirty_index.len(), dirty_members);
+            let mut prev = None;
+            for ((rank, t, file), &i) in &self.clean_index {
                 let s = self.slot(i);
-                let resident = s.resident.total();
-                let cached = s.pages.cached();
-                debug_assert!(
-                    (resident - cached).abs() <= 1e-3 + 1e-6 * cached.abs(),
-                    "file {file}: resident ranges {resident} != cached bytes {cached}"
-                );
-                for w in s.resident.spans.windows(2) {
-                    debug_assert!(
-                        w[0].1 <= w[1].0 + EPS,
-                        "file {file}: overlapping/unsorted resident spans"
-                    );
-                }
+                debug_assert!(&s.file == file && s.clean_key == Some((*rank, *t)));
+                let key = self.reference_clean_key(i);
+                debug_assert!(prev < Some(key), "clean index out of reference order");
+                prev = Some(key);
             }
-            // Every qualifying file must be a chain member (the chains may
-            // conservatively hold more; they are pruned lazily).
-            for (dim, qualifies) in [
-                (
-                    CLEAN,
-                    (|p: &FilePages| p.clean() > EPS) as fn(&FilePages) -> bool,
-                ),
-                (DIRTY, |p: &FilePages| p.dirty() > EPS),
-            ] {
-                for (file, &i) in &self.index {
-                    let s = self.slot(i);
-                    debug_assert!(
-                        !qualifies(&s.pages) || s.linked[dim],
-                        "file {file} qualifies for chain {dim} but is not linked"
-                    );
-                }
-                // The chain is structurally sound and every member is live.
-                let mut seen = 0usize;
-                let mut prev = NIL;
-                let mut i = self.chains[dim].head;
-                while i != NIL {
-                    let s = self.slot(i);
-                    debug_assert!(s.linked[dim]);
-                    debug_assert_eq!(s.links[dim].prev, prev);
-                    prev = i;
-                    i = s.links[dim].next;
-                    seen += 1;
-                    debug_assert!(seen <= self.slots.len(), "chain cycle");
-                }
-                debug_assert_eq!(self.chains[dim].tail, prev);
+            let mut prev = None;
+            for ((t, file), &i) in &self.dirty_index {
+                let s = self.slot(i);
+                debug_assert!(&s.file == file && s.dirty_key == Some(*t));
+                let key = self.reference_dirty_key(i);
+                debug_assert!(prev < Some(key), "dirty index out of reference order");
+                prev = Some(key);
             }
+            // The has-dirty chain is structurally sound.
+            let mut seen = 0usize;
+            let mut prev = NIL;
+            let mut i = self.chain.head;
+            while i != NIL {
+                let s = self.slot(i);
+                debug_assert!(s.linked);
+                debug_assert_eq!(s.link.prev, prev);
+                prev = i;
+                i = s.link.next;
+                seen += 1;
+                debug_assert!(seen <= self.slots.len(), "chain cycle");
+            }
+            debug_assert_eq!(self.chain.tail, prev);
         }
+    }
+}
+
+/// Writeback-order time of a file: when its oldest dirty byte was written.
+fn dirty_time(pages: &FilePages) -> SimTime {
+    pages.oldest_dirty.unwrap_or(pages.last_access)
+}
+
+/// The slow reference the victim indexes replaced: collect every qualifying
+/// file and sort. Backs the debug oracle and the differential tests.
+#[cfg(any(test, debug_assertions))]
+impl State {
+    /// Eviction-order key of slot `i`, computed afresh from its state.
+    fn reference_clean_key(&self, i: u32) -> (u32, SimTime, &FileId) {
+        let s = self.slot(i);
+        (self.policy.file_rank(&s.meta), s.pages.last_access, &s.file)
+    }
+
+    /// Writeback-order key of slot `i`, computed afresh from its state.
+    fn reference_dirty_key(&self, i: u32) -> (SimTime, &FileId) {
+        let s = self.slot(i);
+        (dirty_time(&s.pages), &s.file)
+    }
+
+    /// Every file holding clean bytes, in eviction order.
+    #[cfg(test)]
+    fn reference_clean_order(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = self
+            .index
+            .values()
+            .copied()
+            .filter(|&i| self.slot(i).pages.clean() > EPS)
+            .collect();
+        order.sort_by(|&a, &b| {
+            self.reference_clean_key(a)
+                .cmp(&self.reference_clean_key(b))
+        });
+        order
+    }
+
+    /// Every file holding dirty bytes, in writeback order.
+    #[cfg(test)]
+    fn reference_dirty_order(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = self
+            .index
+            .values()
+            .copied()
+            .filter(|&i| self.slot(i).pages.dirty() > EPS)
+            .collect();
+        order.sort_by(|&a, &b| {
+            self.reference_dirty_key(a)
+                .cmp(&self.reference_dirty_key(b))
+        });
+        order
     }
 }
 
@@ -588,7 +1018,15 @@ impl KernelCache {
                 index: BTreeMap::new(),
                 slots: Vec::new(),
                 free_slots: Vec::new(),
-                chains: [Chain::default(), Chain::default()],
+                clean_index: BTreeMap::new(),
+                dirty_index: BTreeMap::new(),
+                chain: Chain::default(),
+                dirty_prunes: 0,
+                scans: ScanCounters::default(),
+                #[cfg(test)]
+                reference: false,
+                #[cfg(test)]
+                victims: Vec::new(),
                 anonymous: 0.0,
                 cached_total: 0.0,
                 dirty_total: 0.0,
@@ -667,6 +1105,11 @@ impl KernelCache {
         self.state.borrow().counters
     }
 
+    /// Host-cost counters of the eviction and writeback victim walks.
+    pub fn scan_counters(&self) -> ScanCounters {
+        self.state.borrow().scans
+    }
+
     /// Records readahead disk traffic (bytes actually read ahead of demand).
     pub fn note_prefetch(&self, bytes: f64) {
         if bytes > 0.0 {
@@ -709,8 +1152,7 @@ impl KernelCache {
         let Some(i) = s.index.remove(file) else {
             return 0.0;
         };
-        s.unlink(i, CLEAN);
-        s.unlink(i, DIRTY);
+        s.deindex(i);
         let pages = s.slots[i as usize]
             .take()
             .expect("indexed slot is live")
@@ -780,52 +1222,12 @@ impl KernelCache {
             return 0.0;
         }
         let mut s = self.state.borrow_mut();
-        let mut order = s.chain_candidates(CLEAN, |p| p.clean() > EPS);
-        order.retain(|&i| s.group_of.get(&s.slot(i).file) == Some(&group));
-        order.sort_by(|&a, &b| {
-            let ka = s.policy.file_rank(&s.slot(a).meta);
-            let kb = s.policy.file_rank(&s.slot(b).meta);
-            (ka, s.slot(a).pages.last_access, &s.slot(a).file).cmp(&(
-                kb,
-                s.slot(b).pages.last_access,
-                &s.slot(b).file,
-            ))
-        });
-        let use_ref = s.policy.uses_reference_bits();
-        let mut evicted = 0.0;
-        for respect_protection in [true, false] {
-            for &i in &order {
-                if evicted >= amount - EPS {
-                    break;
-                }
-                let st = &mut *s;
-                let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-                if respect_protection
-                    && self.tuning.protect_files_being_written
-                    && slot.pages.write_open
-                {
-                    continue;
-                }
-                if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta) {
-                    continue;
-                }
-                let removed = slot.pages.evict_clean(amount - evicted);
-                if removed > EPS {
-                    slot.resident.trim_front(removed);
-                    if slot.pages.cached() <= EPS {
-                        st.policy.file_on_evict(&slot.file, &slot.meta);
-                    }
-                    let f = slot.file.clone();
-                    st.group_adjust(&f, -removed, 0.0);
-                }
-                evicted += removed;
-            }
-            if evicted >= amount - EPS || (!self.tuning.protect_files_being_written && !use_ref) {
-                break;
-            }
-        }
-        s.counters.evicted += evicted;
-        s.cached_total = (s.cached_total - evicted).max(0.0);
+        let evicted = s.reclaim(
+            amount,
+            None,
+            Some(group),
+            self.tuning.protect_files_being_written,
+        );
         s.debug_validate();
         evicted
     }
@@ -839,31 +1241,8 @@ impl KernelCache {
         }
         let flushed = {
             let mut s = self.state.borrow_mut();
-            let mut order = s.chain_candidates(DIRTY, |p| p.dirty() > EPS);
-            order.retain(|&i| s.group_of.get(&s.slot(i).file) == Some(&group));
-            let key = |s: &State, i: u32| {
-                let slot = s.slot(i);
-                slot.pages.oldest_dirty.unwrap_or(slot.pages.last_access)
-            };
-            order.sort_by(|&a, &b| {
-                (key(&s, a), &s.slot(a).file).cmp(&(key(&s, b), &s.slot(b).file))
-            });
-            let mut flushed = 0.0;
-            for &i in &order {
-                if flushed >= amount - EPS {
-                    break;
-                }
-                let cleaned = s.slot_mut(i).pages.clean_dirty(amount - flushed);
-                flushed += cleaned;
-                if cleaned > 0.0 {
-                    s.slot_mut(i).dirty.trim_front(cleaned);
-                    s.link(i, CLEAN);
-                    let f = s.slot(i).file.clone();
-                    s.group_adjust(&f, 0.0, -cleaned);
-                }
-            }
+            let flushed = s.flush(amount, Some(group));
             s.counters.throttled_writeback += flushed;
-            s.dirty_total = (s.dirty_total - flushed).max(0.0);
             s.debug_validate();
             flushed
         };
@@ -910,9 +1289,9 @@ impl KernelCache {
     /// (if the corresponding tunable is enabled) and `exclude`. Returns the
     /// evicted amount.
     ///
-    /// Candidates come from the has-clean membership chain, so only files
-    /// actually holding clean pages are visited; the sort orders victims by
-    /// `(policy rank, last_access, file name)`. The default
+    /// Victims come from the front of the clean index, ordered by
+    /// `(policy rank, last_access, file name)`, so the call costs O(log F)
+    /// per visited file, not a sort of every cached file. The default
     /// [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every
     /// file 0, reproducing the historical `(last_access, file name)`
     /// selection order exactly.
@@ -921,108 +1300,34 @@ impl KernelCache {
             return 0.0;
         }
         let mut s = self.state.borrow_mut();
-        let mut order = s.chain_candidates(CLEAN, |p| p.clean() > EPS);
-        order.sort_by(|&a, &b| {
-            let ka = s.policy.file_rank(&s.slot(a).meta);
-            let kb = s.policy.file_rank(&s.slot(b).meta);
-            (ka, s.slot(a).pages.last_access, &s.slot(a).file).cmp(&(
-                kb,
-                s.slot(b).pages.last_access,
-                &s.slot(b).file,
-            ))
-        });
-        let use_ref = s.policy.uses_reference_bits();
-        let mut evicted = 0.0;
-        // First pass: respect the write-open protection (and, under a
-        // reference-bit policy, grant referenced files one second chance);
-        // second pass: ignore both if we are still short (the kernel will
-        // reclaim those pages too under sufficient pressure).
-        for respect_protection in [true, false] {
-            for &i in &order {
-                if evicted >= amount - EPS {
-                    break;
-                }
-                if exclude.is_some_and(|f| f == &s.slot(i).file) {
-                    continue;
-                }
-                let st = &mut *s;
-                let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-                if respect_protection
-                    && self.tuning.protect_files_being_written
-                    && slot.pages.write_open
-                {
-                    continue;
-                }
-                if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta) {
-                    continue;
-                }
-                let removed = slot.pages.evict_clean(amount - evicted);
-                if removed > EPS {
-                    // Keep the range view in sync: reclaimed pages leave from
-                    // the lowest offsets (the LRU end under sequential
-                    // access).
-                    slot.resident.trim_front(removed);
-                    if slot.pages.cached() <= EPS {
-                        st.policy.file_on_evict(&slot.file, &slot.meta);
-                    }
-                    let f = slot.file.clone();
-                    st.group_adjust(&f, -removed, 0.0);
-                }
-                evicted += removed;
-            }
-            if evicted >= amount - EPS || (!self.tuning.protect_files_being_written && !use_ref) {
-                break;
-            }
-        }
-        s.counters.evicted += evicted;
-        s.cached_total = (s.cached_total - evicted).max(0.0);
+        let evicted = s.reclaim(
+            amount,
+            exclude,
+            None,
+            self.tuning.protect_files_being_written,
+        );
         s.debug_validate();
         evicted
     }
 
     /// Writes back up to `amount` bytes of dirty pages, oldest dirty file
-    /// first, and simulates the disk writes. Returns the amount written back.
+    /// first (ties broken by file name), and simulates the disk writes.
+    /// Returns the amount written back.
+    ///
+    /// Victims come from the front of the dirty index, ordered by
+    /// `(oldest_dirty, file name)`: O(log F) per visited file.
     pub async fn write_back(&self, amount: f64, throttled: bool) -> f64 {
         if amount <= EPS {
             return 0.0;
         }
         let flushed = {
             let mut s = self.state.borrow_mut();
-            // Oldest-dirty-first over the has-dirty chain members only; ties
-            // break on the file name, matching the historical stable sort
-            // over the name-ordered file table.
-            let mut order = s.chain_candidates(DIRTY, |p| p.dirty() > EPS);
-            let key = |s: &State, i: u32| {
-                let slot = s.slot(i);
-                slot.pages.oldest_dirty.unwrap_or(slot.pages.last_access)
-            };
-            order.sort_by(|&a, &b| {
-                (key(&s, a), &s.slot(a).file).cmp(&(key(&s, b), &s.slot(b).file))
-            });
-            let mut flushed = 0.0;
-            for &i in &order {
-                if flushed >= amount - EPS {
-                    break;
-                }
-                let cleaned = s.slot_mut(i).pages.clean_dirty(amount - flushed);
-                flushed += cleaned;
-                if cleaned > 0.0 {
-                    // Partial writeback cleans the durability ledger from
-                    // the lowest offsets (deterministic approximation).
-                    s.slot_mut(i).dirty.trim_front(cleaned);
-                    // The cleaned pages are now clean cache: make sure the
-                    // file is reachable by the eviction pass.
-                    s.link(i, CLEAN);
-                    let f = s.slot(i).file.clone();
-                    s.group_adjust(&f, 0.0, -cleaned);
-                }
-            }
+            let flushed = s.flush(amount, None);
             if throttled {
                 s.counters.throttled_writeback += flushed;
             } else {
                 s.counters.background_writeback += flushed;
             }
-            s.dirty_total = (s.dirty_total - flushed).max(0.0);
             s.debug_validate();
             flushed
         };
@@ -1039,9 +1344,10 @@ impl KernelCache {
             return 0.0;
         }
         let amount = {
-            // Walk only the has-dirty chain members (pruning stale ones).
+            // Walk only the has-dirty chain members (pruning stale ones),
+            // summing in chain order.
             let mut s = self.state.borrow_mut();
-            let candidates = s.chain_candidates(DIRTY, |p| p.dirty() > EPS);
+            let candidates = s.chain_candidates();
             candidates
                 .iter()
                 .map(|&i| &s.slot(i).pages)
@@ -1111,24 +1417,8 @@ impl KernelCache {
         if end - start <= EPS {
             return 0.0;
         }
-        let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
-        let i = s.ensure_slot(file);
-        let added = {
-            let st = &mut *s;
-            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-            let added = (end - start) - slot.resident.covered_len(start, end);
-            slot.resident.insert(start, end);
-            slot.pages.inactive_clean += added;
-            slot.pages.last_access = now;
-            st.policy.file_admit(&slot.file, &mut slot.meta);
-            added
-        };
-        if added > EPS {
-            s.link(i, CLEAN);
-            s.cached_total += added;
-            s.group_adjust(file, added, 0.0);
-        }
+        let added = s.insert_clean(file, start, end, self.ctx.now());
         s.debug_validate();
         added
     }
@@ -1142,37 +1432,8 @@ impl KernelCache {
         if end - start <= EPS {
             return;
         }
-        let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
-        let i = s.ensure_slot(file);
-        let (added, redirtied) = {
-            let st = &mut *s;
-            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-            st.policy.file_admit(&slot.file, &mut slot.meta);
-            let overlap = slot.resident.covered_len(start, end);
-            let added = (end - start) - overlap;
-            slot.resident.insert(start, end);
-            slot.dirty.insert(start, end);
-            let pages = &mut slot.pages;
-            pages.inactive_dirty += added;
-            // Overlapped pages turn dirty where they sit; pages of the
-            // overlap that were already dirty need no accounting change.
-            let redirty_inactive = pages.inactive_clean.min(overlap);
-            pages.inactive_clean -= redirty_inactive;
-            pages.inactive_dirty += redirty_inactive;
-            let redirty_active = pages.active_clean.min(overlap - redirty_inactive);
-            pages.active_clean -= redirty_active;
-            pages.active_dirty += redirty_active;
-            pages.last_access = now;
-            if pages.oldest_dirty.is_none() {
-                pages.oldest_dirty = Some(now);
-            }
-            (added, redirty_inactive + redirty_active)
-        };
-        s.link(i, DIRTY);
-        s.cached_total += added;
-        s.dirty_total += added + redirtied;
-        s.group_adjust(file, added, added + redirtied);
+        s.insert_dirty(file, start, end, self.ctx.now());
         s.debug_validate();
     }
 
@@ -1190,11 +1451,9 @@ impl KernelCache {
                 return 0.0;
             }
             let cleaned = s.slot_mut(i).pages.clean_dirty(dirty);
-            if cleaned > 0.0 {
-                s.link(i, CLEAN);
-            }
             // Every written position of the file is now on disk.
             s.slot_mut(i).dirty = RangeSet::default();
+            s.reindex(i);
             s.counters.throttled_writeback += cleaned;
             s.dirty_total = (s.dirty_total - cleaned).max(0.0);
             s.group_adjust(file, 0.0, -cleaned);
@@ -1234,7 +1493,9 @@ impl KernelCache {
         s.index.clear();
         s.slots.clear();
         s.free_slots.clear();
-        s.chains = [Chain::default(), Chain::default()];
+        s.clean_index.clear();
+        s.dirty_index.clear();
+        s.chain = Chain::default();
         s.anonymous = 0.0;
         s.cached_total = 0.0;
         s.dirty_total = 0.0;
@@ -1260,6 +1521,7 @@ impl KernelCache {
             slot.pages.promote(bytes);
             slot.pages.last_access = now;
             st.policy.file_touch(&slot.file, &mut slot.meta);
+            st.reindex(i);
         }
     }
 
@@ -1341,6 +1603,9 @@ impl KernelCache {
         self.state.borrow_mut().stop = true;
     }
 }
+
+#[cfg(test)]
+mod index_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1707,10 +1972,10 @@ mod tests {
 
     /// Tiny xorshift PRNG (no external dependencies; same generator family
     /// as the harness dispatcher).
-    struct XorShift(u64);
+    pub(super) struct XorShift(u64);
 
     impl XorShift {
-        fn new(seed: u64) -> Self {
+        pub(super) fn new(seed: u64) -> Self {
             XorShift(seed.max(1))
         }
 
@@ -1724,7 +1989,7 @@ mod tests {
         }
 
         /// A value in `[0, bound)`.
-        fn below(&mut self, bound: u64) -> u64 {
+        pub(super) fn below(&mut self, bound: u64) -> u64 {
             self.next_u64() % bound
         }
     }

@@ -24,7 +24,10 @@
 //! are then evaluated by their error against this emulator, exactly as the
 //! paper evaluates WRENCH and WRENCH-cache against the real cluster.
 //!
-//! See `DESIGN.md` (§5, substitutions) for the full rationale.
+//! This substitution is the one place where the reproduction departs from
+//! the paper's method: an error reported here measures disagreement with the
+//! emulator, which models the kernel mechanisms named above, not with a
+//! measured Linux node.
 
 #![warn(missing_docs)]
 
@@ -33,7 +36,7 @@ mod error;
 mod fs;
 mod tuning;
 
-pub use cache::{KernelCache, KernelCacheCounters};
+pub use cache::{KernelCache, KernelCacheCounters, ScanCounters};
 pub use error::KernelFsError;
 pub use fs::{KernelFileSystem, DEFAULT_REQUEST_SIZE};
 pub use tuning::{KernelTuning, LINUX_READAHEAD_MAX, LINUX_READAHEAD_MIN, PAGE_SIZE};
