@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the core data structures: LRU list operations, the
-//! I/O controller fast path, the kernel emulator's victim selection, and the
-//! discrete-event engine.
+//! I/O controller fast path, the kernel emulator's victim selection, the
+//! discrete-event engine, traffic generation and the replicated fleet's
+//! request path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use des::{SimTime, Simulation};
 use pagecache::{EvictionPolicy, FileId, IoController, LruLists, MemoryManager, PageCacheConfig};
-use storage_model::units::{GB, MB};
+use storage_model::units::{GB, KB, MB};
 use storage_model::{DeviceSpec, Disk, MemoryDevice, SharedResource, SharingPolicy};
 
 fn bench_lru_operations(c: &mut Criterion) {
@@ -511,6 +512,55 @@ fn bench_traffic_generate(c: &mut Criterion) {
     group.finish();
 }
 
+/// Mixed closed-loop requests on a replicated fleet (4 clients, 3 servers,
+/// 2 replicas) through `run_scenario`: the per-request fleet path —
+/// catalog ids, replica placement, fabric route checks and link transfers,
+/// the client and server caches — which no other micro-benchmark reaches.
+/// The id is the total request count over the four client generators.
+fn bench_fleet(c: &mut Criterion) {
+    use workflow::{
+        run_scenario, ApplicationSpec, FleetSpec, PlatformSpec, Scenario, SimulatorKind,
+        TrafficSpec,
+    };
+    let mut group = c.benchmark_group("fleet");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for &requests in &[2_000usize, 10_000] {
+        group.bench_with_input(
+            BenchmarkId::new("mixed_closed", requests),
+            &requests,
+            |b, &requests| {
+                let platform = PlatformSpec::uniform(
+                    4.0 * GB,
+                    DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY),
+                    DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
+                )
+                .with_fleet(FleetSpec::new(4, 3, 2));
+                let traffic: Vec<TrafficSpec> = (0..4u64)
+                    .map(|i| {
+                        TrafficSpec::closed(format!("client{i}"), 16, 0.0, requests / 4)
+                            .with_zipf(0.9)
+                            .with_request_bytes(64.0 * KB)
+                            .with_catalog(2_000, 1.0 * MB)
+                            .with_read_fraction(0.5)
+                            .with_seed(7 + i)
+                    })
+                    .collect();
+                let scenario = Scenario::new(
+                    platform,
+                    ApplicationSpec::new("bench"),
+                    SimulatorKind::PageCache,
+                )
+                .with_sample_interval(None)
+                .with_traffic(traffic);
+                b.iter(|| run_scenario(&scenario).unwrap().simulated_duration)
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lru_operations,
@@ -521,6 +571,7 @@ criterion_group!(
     bench_kernel_emu,
     bench_des_engine,
     bench_timer_schedulers,
-    bench_traffic_generate
+    bench_traffic_generate,
+    bench_fleet
 );
 criterion_main!(benches);

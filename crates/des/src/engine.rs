@@ -108,6 +108,9 @@ struct Engine {
     next_timer_id: u64,
     /// Tasks woken through a `Waker`; drained into `ready` by the run loop.
     wake_queue: Arc<Mutex<Vec<TaskId>>>,
+    /// Spare buffer swapped with `wake_queue` on each drain, so the two
+    /// vectors keep their capacity and a drain allocates nothing.
+    woken: Vec<TaskId>,
 }
 
 impl Engine {
@@ -124,6 +127,7 @@ impl Engine {
             ready: VecDeque::new(),
             next_timer_id: 0,
             wake_queue: Arc::new(Mutex::new(Vec::new())),
+            woken: Vec::new(),
         }
     }
 
@@ -505,8 +509,9 @@ impl Simulation {
 
     fn drain_wake_queue(&self) {
         let mut eng = self.engine.borrow_mut();
-        let woken: Vec<TaskId> = std::mem::take(&mut *eng.wake_queue.lock().unwrap());
-        for task in woken {
+        let mut woken = std::mem::take(&mut eng.woken);
+        std::mem::swap(&mut woken, &mut *eng.wake_queue.lock().unwrap());
+        for &task in &woken {
             let index = task_index(task);
             // Stale wake-ups (completed task, possibly recycled slot) are
             // recognised by the generation mismatch; duplicate wake-ups by
@@ -520,6 +525,8 @@ impl Simulation {
                 }
             }
         }
+        woken.clear();
+        eng.woken = woken;
     }
 
     fn poll_task(&self, index: u32) {

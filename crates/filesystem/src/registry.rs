@@ -1,7 +1,7 @@
 //! File metadata registry shared by all handles to one filesystem.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use pagecache::FileId;
@@ -9,9 +9,15 @@ use pagecache::FileId;
 use crate::error::FsError;
 
 /// Size bookkeeping for the files of one filesystem.
+///
+/// Files are kept in a hashed map keyed by [`FileId`] identity, so the
+/// per-request lookups ([`FileRegistry::size`], [`FileRegistry::exists`])
+/// are O(1) and never compare names. Everything that enumerates the files
+/// ([`FileRegistry::list`], [`FileRegistry::total_bytes`]) visits them in
+/// file-name order, so its result does not depend on the hash order.
 #[derive(Clone, Default)]
 pub struct FileRegistry {
-    files: Rc<RefCell<BTreeMap<FileId, f64>>>,
+    files: Rc<RefCell<HashMap<FileId, f64>>>,
 }
 
 impl FileRegistry {
@@ -58,18 +64,21 @@ impl FileRegistry {
             .ok_or_else(|| FsError::FileNotFound(file.clone()))
     }
 
-    /// Names and sizes of all registered files.
+    /// Names and sizes of all registered files, sorted by file name.
     pub fn list(&self) -> Vec<(FileId, f64)> {
-        self.files
+        let mut files: Vec<(FileId, f64)> = self
+            .files
             .borrow()
             .iter()
             .map(|(k, v)| (k.clone(), *v))
-            .collect()
+            .collect();
+        files.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        files
     }
 
-    /// Total bytes registered.
+    /// Total bytes registered, summed in file-name order.
     pub fn total_bytes(&self) -> f64 {
-        self.files.borrow().values().sum()
+        self.list().into_iter().map(|(_, size)| size).sum()
     }
 
     /// Number of registered files.
@@ -140,5 +149,19 @@ mod tests {
         reg.create(&"a".into(), 10.0).unwrap();
         assert!(reg2.exists(&"a".into()));
         assert_eq!(reg2.list(), vec![("a".into(), 10.0)]);
+    }
+
+    #[test]
+    fn list_is_in_name_order() {
+        let reg = FileRegistry::new();
+        let names = ["m", "b", "zz", "a", "z", "ab", "c0", "c"];
+        for (i, name) in names.iter().enumerate() {
+            reg.create(&(*name).into(), i as f64).unwrap();
+        }
+        let listed: Vec<String> = reg.list().iter().map(|(f, _)| f.to_string()).collect();
+        let mut sorted: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        sorted.sort();
+        assert_eq!(listed, sorted);
+        assert_eq!(reg.total_bytes(), 28.0);
     }
 }

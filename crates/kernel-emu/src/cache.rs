@@ -399,10 +399,11 @@ struct GroupBytes {
 }
 
 struct State {
-    /// File name -> slab slot. The sorted index is kept for
-    /// [`KernelCache::cached_per_file`] snapshots; victim selection goes
-    /// through the victim indexes instead of scanning this map.
-    index: BTreeMap<FileId, u32>,
+    /// File -> slab slot, hashed on [`FileId`] identity (O(1) per lookup).
+    /// Victim selection goes through the victim indexes instead of scanning
+    /// this map; the enumerations ([`KernelCache::cached_per_file`],
+    /// [`KernelCache::crash_discard`]) sort by file name.
+    index: HashMap<FileId, u32>,
     slots: Vec<Option<FileSlot>>,
     free_slots: Vec<u32>,
     /// Eviction order over exactly the files holding clean bytes.
@@ -1015,7 +1016,7 @@ impl KernelCache {
             memory,
             disk,
             state: Rc::new(RefCell::new(State {
-                index: BTreeMap::new(),
+                index: HashMap::new(),
                 slots: Vec::new(),
                 free_slots: Vec::new(),
                 clean_index: BTreeMap::new(),
@@ -1478,11 +1479,13 @@ impl KernelCache {
 
     /// Simulated power loss: drops every cached page and all anonymous
     /// memory, and returns each file's lost dirty byte ranges (sorted by
-    /// file id). The trace and counters survive — they describe the run,
+    /// file name). The trace and counters survive — they describe the run,
     /// not the volatile state. Takes no simulated time.
     pub fn crash_discard(&self) -> Vec<(FileId, Vec<(f64, f64)>)> {
         let mut s = self.state.borrow_mut();
-        let entries: Vec<(FileId, u32)> = s.index.iter().map(|(k, &i)| (k.clone(), i)).collect();
+        let mut entries: Vec<(FileId, u32)> =
+            s.index.iter().map(|(k, &i)| (k.clone(), i)).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut lost = Vec::new();
         for (file, i) in entries {
             let slot = s.slots[i as usize].take().expect("indexed slot is live");
@@ -1796,6 +1799,23 @@ mod tests {
         // The cache keeps working after the reset.
         cache.insert_clean(&"fresh".into(), 10.0 * MB);
         approx(cache.cached(), 10.0 * MB);
+    }
+
+    #[test]
+    fn crash_discard_lists_files_in_name_order() {
+        let (_sim, cache) = setup(1000.0);
+        let names = ["m", "b", "zz", "a", "z", "ab", "c0", "c"];
+        for name in names {
+            cache.insert_dirty_range(&name.into(), 0.0, MB);
+        }
+        let lost: Vec<String> = cache
+            .crash_discard()
+            .iter()
+            .map(|(f, _)| f.to_string())
+            .collect();
+        let mut sorted: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        sorted.sort();
+        assert_eq!(lost, sorted);
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn replay(policy: EvictionPolicy, protect: bool, seed: u64, ops: usize, referenc
                     .drain(..)
                     .map(|(f, bytes)| (f.to_string(), bytes.to_bits()))
                     .collect();
-                let files: Vec<(String, u64, u64)> = s
+                let mut files: Vec<(String, u64, u64)> = s
                     .index
                     .iter()
                     .map(|(f, &i)| {
@@ -138,6 +138,8 @@ fn replay(policy: EvictionPolicy, protect: bool, seed: u64, ops: usize, referenc
                         (f.to_string(), p.clean().to_bits(), p.dirty().to_bits())
                     })
                     .collect();
+                // The file table is hashed: compare it in name order.
+                files.sort_unstable();
                 let line = format!(
                     "op {op} {kind} {file} -> {:x}; victims {victims:?}; chain {:?}; files {files:?}",
                     result.to_bits(),

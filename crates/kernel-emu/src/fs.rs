@@ -37,7 +37,7 @@
 //! accumulated in [`KernelCacheCounters`](crate::KernelCacheCounters).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use des::SimContext;
@@ -85,7 +85,9 @@ pub struct KernelFileSystem {
     ctx: SimContext,
     cache: KernelCache,
     disk: Disk,
-    files: Rc<RefCell<BTreeMap<FileId, FileMeta>>>,
+    /// Registered files, hashed on [`FileId`] identity; enumerated in
+    /// file-name order by [`KernelFileSystem::list_files`].
+    files: Rc<RefCell<HashMap<FileId, FileMeta>>>,
     request_size: f64,
 }
 
@@ -96,7 +98,7 @@ impl KernelFileSystem {
             ctx: ctx.clone(),
             cache,
             disk,
-            files: Rc::new(RefCell::new(BTreeMap::new())),
+            files: Rc::new(RefCell::new(HashMap::new())),
             request_size: DEFAULT_REQUEST_SIZE,
         }
     }
@@ -132,14 +134,17 @@ impl KernelFileSystem {
         self.files.borrow().get(file).map(|m| m.size)
     }
 
-    /// Every registered file and its size, sorted by file id (the same shape
+    /// Every registered file and its size, sorted by file name (the same shape
     /// as `simfs::FileRegistry::list`, used by crash durability reports).
     pub fn list_files(&self) -> Vec<(FileId, f64)> {
-        self.files
+        let mut files: Vec<(FileId, f64)> = self
+            .files
             .borrow()
             .iter()
             .map(|(k, m)| (k.clone(), m.size))
-            .collect()
+            .collect();
+        files.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        files
     }
 
     fn require_size(&self, file: &FileId) -> Result<f64, KernelFsError> {
@@ -884,5 +889,18 @@ mod tests {
         fs.delete_file(&"a".into()).unwrap();
         assert!(fs.delete_file(&"a".into()).is_err());
         assert_eq!(fs.disk().used(), 0.0);
+    }
+
+    #[test]
+    fn list_files_is_in_name_order() {
+        let (_sim, fs) = setup(1000.0);
+        let names = ["m", "b", "zz", "a", "z", "ab", "c0", "c"];
+        for name in names {
+            fs.create_file(&name.into(), MB).unwrap();
+        }
+        let listed: Vec<String> = fs.list_files().iter().map(|(f, _)| f.to_string()).collect();
+        let mut sorted: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        sorted.sort();
+        assert_eq!(listed, sorted);
     }
 }

@@ -8,38 +8,110 @@
 //! arbitrarily, which is how partial flushes, evictions and reads are
 //! modelled.
 
+use std::cell::RefCell;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use des::SimTime;
 
-/// Identifier of a simulated file. Cheap to clone (reference-counted interned
-/// name).
+/// Identifier of a simulated file: an interned name. Cheap to clone (a
+/// reference-count bump).
 ///
-/// Equality first compares the `Rc` pointers: clones of the same interned
-/// name — the overwhelmingly common case on the hot block-vs-requested-file
-/// checks in the LRU walks — are equal without touching the string bytes.
-#[derive(Debug, Clone, Eq, PartialOrd, Ord)]
+/// Names are interned in a per-thread table, so every `FileId` of one name
+/// created on a thread shares one allocation. Identity is therefore the
+/// pointer:
+///
+/// * `Eq` and `Hash` use the pointer only — O(1), without touching the name
+///   bytes, which makes hashed maps keyed by `FileId` as cheap as maps keyed
+///   by an integer. Debug builds assert on every comparison that pointer
+///   equality agrees with name equality (the slow reference next to the
+///   fast path).
+/// * `Ord` is the name order (with an O(1) `Equal` for the same pointer).
+///   Ordered maps, victim-index keys and tie-breaks keyed by `FileId`
+///   therefore iterate in file-name order, which does not depend on
+///   allocation addresses and so keeps every prediction reproducible.
+///
+/// `FileId` is `Rc`-based and never crosses threads: a simulation creates
+/// and compares its ids on the thread that runs it.
+#[derive(Debug, Clone)]
 pub struct FileId(Rc<str>);
 
-impl PartialEq for FileId {
-    fn eq(&self, other: &Self) -> bool {
-        Rc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+thread_local! {
+    static NAMES: RefCell<Interner> = RefCell::new(Interner::default());
+}
+
+/// The per-thread name table behind [`FileId::new`].
+#[derive(Default)]
+struct Interner {
+    /// One strong reference per interned name; a name whose count is 1 is
+    /// held by no `FileId` any more.
+    names: HashSet<Rc<str>>,
+    /// Table size at which unused names are next swept out, so the table
+    /// stays within twice the live names (amortised O(1) per intern).
+    sweep_at: usize,
+}
+
+impl Interner {
+    fn intern(&mut self, name: &str) -> Rc<str> {
+        if let Some(rc) = self.names.get(name) {
+            return Rc::clone(rc);
+        }
+        if self.names.len() >= self.sweep_at {
+            self.names.retain(|rc| Rc::strong_count(rc) > 1);
+            self.sweep_at = (2 * self.names.len()).max(1024);
+        }
+        let rc: Rc<str> = Rc::from(name);
+        self.names.insert(Rc::clone(&rc));
+        rc
     }
 }
 
-impl std::hash::Hash for FileId {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash the name, matching `PartialEq` (pointer equality implies name
-        // equality).
-        self.0.hash(state);
+impl PartialEq for FileId {
+    fn eq(&self, other: &Self) -> bool {
+        let same = Rc::ptr_eq(&self.0, &other.0);
+        debug_assert_eq!(
+            same,
+            self.0 == other.0,
+            "file ids '{}' and '{}': interned identity disagrees with the names",
+            self.0,
+            other.0
+        );
+        same
+    }
+}
+
+impl Eq for FileId {}
+
+impl Hash for FileId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The pointer, matching `PartialEq` (one name, one pointer).
+        std::ptr::hash(Rc::as_ptr(&self.0).cast::<u8>(), state);
+    }
+}
+
+impl PartialOrd for FileId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FileId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Rc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
     }
 }
 
 impl FileId {
-    /// Creates a file identifier from a name.
+    /// The file identifier of a name, interned in this thread's table.
     pub fn new(name: impl AsRef<str>) -> Self {
-        FileId(Rc::from(name.as_ref()))
+        FileId(NAMES.with(|names| names.borrow_mut().intern(name.as_ref())))
     }
 
     /// The file name.
@@ -151,6 +223,85 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.to_string(), "file1");
         assert_eq!(c.name(), "file2");
+    }
+
+    /// Deterministic xorshift64 PRNG for the seeded name draws.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    fn hash_of(id: &FileId) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        id.hash(&mut h);
+        h.finish()
+    }
+
+    /// The identity contract against the names, over seeded random names
+    /// from a small alphabet (so that equal names, shared prefixes and
+    /// prefix-of relations all occur often).
+    #[test]
+    fn file_id_identity_matches_the_names() {
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        let names: Vec<String> = (0..400)
+            .map(|_| {
+                let len = 1 + rng.next() % 4;
+                (0..len)
+                    .map(|_| char::from(b'a' + (rng.next() % 3) as u8))
+                    .collect()
+            })
+            .collect();
+        let ids: Vec<FileId> = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| match i % 3 {
+                0 => FileId::new(name),
+                1 => FileId::from(name.as_str()),
+                _ => FileId::from(name.clone()),
+            })
+            .collect();
+        for _ in 0..20_000 {
+            let i = (rng.next() % names.len() as u64) as usize;
+            let j = (rng.next() % names.len() as u64) as usize;
+            let (a, b) = (&ids[i], &ids[j]);
+            assert_eq!(a == b, names[i] == names[j], "{a} vs {b}");
+            assert_eq!(a.cmp(b), names[i].cmp(&names[j]), "{a} vs {b}");
+            assert_eq!(a.partial_cmp(b), Some(names[i].cmp(&names[j])));
+            if a == b {
+                assert_eq!(hash_of(a), hash_of(b));
+            }
+            let copy = a.clone();
+            assert_eq!(&copy, a);
+            assert_eq!(hash_of(&copy), hash_of(a));
+            assert_eq!(FileId::from(names[i].as_str()), *a);
+            assert_eq!(FileId::from(names[i].clone()), *a);
+            assert_eq!(a.name(), names[i]);
+        }
+    }
+
+    /// Names no id holds any more are swept from the table; a name created
+    /// again afterwards is still equal to its live copies.
+    #[test]
+    fn file_id_identity_survives_table_sweeps() {
+        let keep = FileId::new("sweep/keep");
+        for round in 0..4 {
+            let dropped: Vec<FileId> = (0..3000)
+                .map(|i| FileId::new(format!("sweep/{round}/{i}")))
+                .collect();
+            drop(dropped);
+            assert_eq!(FileId::new("sweep/keep"), keep);
+            assert_eq!(hash_of(&FileId::from("sweep/keep")), hash_of(&keep));
+        }
+        let again = FileId::new("sweep/0/7");
+        assert_eq!(again, FileId::from(String::from("sweep/0/7")));
+        assert_ne!(again, keep);
     }
 
     #[test]

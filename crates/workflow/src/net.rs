@@ -46,7 +46,8 @@
 //! successful write counts as a stale read.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
@@ -109,30 +110,87 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+struct HostState {
+    name: String,
+    /// Whether the host is down (crashed or severed by a fault).
+    down: Cell<bool>,
+}
+
 struct LinkState {
+    name: String,
     channel: SharedResource,
     /// Nesting depth of `set_link_down` calls; the link carries traffic only
     /// at depth zero.
     down: Cell<u32>,
 }
 
+/// A transfer on the wire, by host and link index (see [`FabricInner`]).
 struct InflightEntry {
-    link: String,
-    from: String,
-    to: String,
+    link: usize,
+    from: usize,
+    to: usize,
     handle: AbortHandle,
 }
 
+/// Fabric state. Hosts and links are numbered in registration order; the
+/// per-transfer path (route lookup, the down/partition checks, in-flight
+/// bookkeeping) works on those indices and allocates nothing. Names are
+/// resolved once, at the public `&str` entry points.
 struct FabricInner {
     ctx: SimContext,
-    hosts: RefCell<BTreeSet<String>>,
-    links: RefCell<BTreeMap<String, LinkState>>,
-    /// `(from, to) -> link` — both directions are inserted by `add_route`.
-    routes: RefCell<BTreeMap<(String, String), String>>,
-    partitions: RefCell<Vec<(u64, Vec<Vec<String>>)>>,
-    down_hosts: RefCell<BTreeSet<String>>,
+    /// Host name -> host index.
+    host_index: RefCell<HashMap<String, usize>>,
+    /// Hosts, by host index.
+    hosts: RefCell<Vec<HostState>>,
+    /// Link name -> link index.
+    link_index: RefCell<HashMap<String, usize>>,
+    /// Links, by link index.
+    links: RefCell<Vec<LinkState>>,
+    /// `(from, to)` host indices -> link index; `add_route` inserts both
+    /// directions.
+    routes: RefCell<HashMap<(usize, usize), usize>>,
+    /// Active partitions: id, and the group of each host index (`None`
+    /// for hosts the partition does not list).
+    partitions: RefCell<Vec<(u64, Vec<Option<usize>>)>>,
     inflight: RefCell<BTreeMap<u64, InflightEntry>>,
     next_id: Cell<u64>,
+}
+
+impl FabricInner {
+    fn host(&self, name: &str) -> Option<usize> {
+        self.host_index.borrow().get(name).copied()
+    }
+
+    /// Whether host `from` can currently reach host `to`, returning the
+    /// index of the link that would carry the traffic. Errors in order of
+    /// precedence: a host down, a partition, no route, the link down.
+    fn check_route(&self, from: usize, to: usize) -> Result<usize, NetError> {
+        let hosts = self.hosts.borrow();
+        for host in [from, to] {
+            if hosts[host].down.get() {
+                return Err(NetError::HostDown(hosts[host].name.clone()));
+            }
+        }
+        for (_, side) in self.partitions.borrow().iter() {
+            let side = |host: usize| side.get(host).copied().flatten();
+            if let (Some(a), Some(b)) = (side(from), side(to)) {
+                if a != b {
+                    return Err(NetError::Partitioned);
+                }
+            }
+        }
+        let Some(&link) = self.routes.borrow().get(&(from, to)) else {
+            return Err(NetError::NoRoute {
+                from: hosts[from].name.clone(),
+                to: hosts[to].name.clone(),
+            });
+        };
+        let links = self.links.borrow();
+        if links[link].down.get() > 0 {
+            return Err(NetError::LinkDown(links[link].name.clone()));
+        }
+        Ok(link)
+    }
 }
 
 /// Removes the in-flight bookkeeping entry even when the transfer future is
@@ -162,34 +220,49 @@ impl Fabric {
         Fabric {
             inner: Rc::new(FabricInner {
                 ctx: ctx.clone(),
-                hosts: RefCell::new(BTreeSet::new()),
-                links: RefCell::new(BTreeMap::new()),
-                routes: RefCell::new(BTreeMap::new()),
+                host_index: RefCell::new(HashMap::new()),
+                hosts: RefCell::new(Vec::new()),
+                link_index: RefCell::new(HashMap::new()),
+                links: RefCell::new(Vec::new()),
+                routes: RefCell::new(HashMap::new()),
                 partitions: RefCell::new(Vec::new()),
-                down_hosts: RefCell::new(BTreeSet::new()),
                 inflight: RefCell::new(BTreeMap::new()),
                 next_id: Cell::new(0),
             }),
         }
     }
 
-    /// Registers a host.
+    /// Registers a host (registering a name twice is a no-op).
     pub fn add_host(&self, name: impl Into<String>) {
-        self.inner.hosts.borrow_mut().insert(name.into());
+        let name = name.into();
+        let mut hosts = self.inner.hosts.borrow_mut();
+        if let Entry::Vacant(slot) = self.inner.host_index.borrow_mut().entry(name.clone()) {
+            slot.insert(hosts.len());
+            hosts.push(HostState {
+                name,
+                down: Cell::new(false),
+            });
+        }
     }
 
     /// Registers a shared link with the given bandwidth (bytes/s) and
-    /// latency (s).
+    /// latency (s). Registering a name again replaces the link.
     pub fn add_link(&self, name: impl Into<String>, bandwidth: f64, latency: f64) {
         let name = name.into();
         let channel = SharedResource::new(&self.inner.ctx, name.clone(), bandwidth, latency);
-        self.inner.links.borrow_mut().insert(
-            name,
-            LinkState {
-                channel,
-                down: Cell::new(0),
-            },
-        );
+        let state = LinkState {
+            name: name.clone(),
+            channel,
+            down: Cell::new(0),
+        };
+        let mut links = self.inner.links.borrow_mut();
+        match self.inner.link_index.borrow_mut().entry(name) {
+            Entry::Occupied(slot) => links[*slot.get()] = state,
+            Entry::Vacant(slot) => {
+                slot.insert(links.len());
+                links.push(state);
+            }
+        }
     }
 
     /// Routes traffic between two hosts (both directions) over a link.
@@ -200,82 +273,67 @@ impl Fabric {
     /// error.
     pub fn add_route(&self, a: impl Into<String>, b: impl Into<String>, link: impl Into<String>) {
         let (a, b, link) = (a.into(), b.into(), link.into());
-        {
-            let hosts = self.inner.hosts.borrow();
-            assert!(hosts.contains(&a), "unknown host '{a}'");
-            assert!(hosts.contains(&b), "unknown host '{b}'");
-        }
-        assert!(
-            self.inner.links.borrow().contains_key(&link),
-            "unknown link '{link}'"
-        );
+        let ha = self.inner.host(&a);
+        let hb = self.inner.host(&b);
+        let (Some(ha), Some(hb)) = (ha, hb) else {
+            panic!("unknown host '{}'", if ha.is_none() { a } else { b });
+        };
+        let Some(&l) = self.inner.link_index.borrow().get(&link) else {
+            panic!("unknown link '{link}'");
+        };
         let mut routes = self.inner.routes.borrow_mut();
-        routes.insert((a.clone(), b.clone()), link.clone());
-        routes.insert((b, a), link);
+        routes.insert((ha, hb), l);
+        routes.insert((hb, ha), l);
     }
 
     /// The shared channel behind a link, if registered. Lets other models
     /// (e.g. the degenerate single-link NFS back-end) reuse a fabric-owned
     /// link directly.
     pub fn link_channel(&self, name: &str) -> Option<SharedResource> {
-        self.inner
-            .links
-            .borrow()
-            .get(name)
-            .map(|l| l.channel.clone())
+        let index = *self.inner.link_index.borrow().get(name)?;
+        Some(self.inner.links.borrow()[index].channel.clone())
     }
 
-    /// Checks whether `from` can currently reach `to`, returning the link
-    /// that would carry the traffic.
-    pub fn check_path(&self, from: &str, to: &str) -> Result<String, NetError> {
-        {
-            let down = self.inner.down_hosts.borrow();
-            if down.contains(from) {
-                return Err(NetError::HostDown(from.to_string()));
-            }
-            if down.contains(to) {
-                return Err(NetError::HostDown(to.to_string()));
-            }
-        }
-        for (_, groups) in self.inner.partitions.borrow().iter() {
-            let side = |host: &str| groups.iter().position(|g| g.iter().any(|h| h == host));
-            if let (Some(a), Some(b)) = (side(from), side(to)) {
-                if a != b {
-                    return Err(NetError::Partitioned);
-                }
-            }
-        }
-        let link = self
-            .inner
-            .routes
-            .borrow()
-            .get(&(from.to_string(), to.to_string()))
-            .cloned()
-            .ok_or_else(|| NetError::NoRoute {
+    /// Resolves two host names; an unregistered name has no route.
+    fn resolve(&self, from: &str, to: &str) -> Result<(usize, usize), NetError> {
+        match (self.inner.host(from), self.inner.host(to)) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => Err(NetError::NoRoute {
                 from: from.to_string(),
                 to: to.to_string(),
-            })?;
-        if self.inner.links.borrow()[&link].down.get() > 0 {
-            return Err(NetError::LinkDown(link));
+            }),
         }
-        Ok(link)
+    }
+
+    /// Checks whether `from` can currently reach `to`. Errors in order of
+    /// precedence: a host down, a partition between them, no route
+    /// (including an unregistered host), the route's link down.
+    pub fn check_path(&self, from: &str, to: &str) -> Result<(), NetError> {
+        let (from, to) = self.resolve(from, to)?;
+        self.inner.check_route(from, to).map(|_| ())
     }
 
     /// Transfers `bytes` from `from` to `to`. Fails fast if no path exists,
     /// and fails mid-flight (with the then-current path error) if a fault
     /// takes the link or either host down while the transfer is running.
     pub async fn transfer(&self, from: &str, to: &str, bytes: f64) -> Result<(), NetError> {
-        let link = self.check_path(from, to)?;
-        let channel = self.inner.links.borrow()[&link].channel.clone();
+        let (from, to) = self.resolve(from, to)?;
+        self.transfer_between(from, to, bytes).await
+    }
+
+    /// [`Fabric::transfer`] between two host indices.
+    async fn transfer_between(&self, from: usize, to: usize, bytes: f64) -> Result<(), NetError> {
+        let link = self.inner.check_route(from, to)?;
+        let channel = self.inner.links.borrow()[link].channel.clone();
         let (fut, handle) = channel.transfer_abortable(bytes);
         let id = self.inner.next_id.get();
         self.inner.next_id.set(id + 1);
         self.inner.inflight.borrow_mut().insert(
             id,
             InflightEntry {
-                link: link.clone(),
-                from: from.to_string(),
-                to: to.to_string(),
+                link,
+                from,
+                to,
                 handle,
             },
         );
@@ -285,10 +343,11 @@ impl Fabric {
         };
         match fut.await {
             TransferOutcome::Completed => Ok(()),
-            TransferOutcome::Aborted => Err(self
-                .check_path(from, to)
-                .err()
-                .unwrap_or(NetError::LinkDown(link))),
+            TransferOutcome::Aborted => {
+                Err(self.inner.check_route(from, to).err().unwrap_or_else(|| {
+                    NetError::LinkDown(self.inner.links.borrow()[link].name.clone())
+                }))
+            }
         }
     }
 
@@ -296,38 +355,49 @@ impl Fabric {
     /// the link carries traffic again once `set_link_up` has been called as
     /// many times. Returns `false` if the link is unknown.
     pub fn set_link_down(&self, link: &str) -> bool {
-        let found = match self.inner.links.borrow().get(link) {
-            Some(state) => {
-                state.down.set(state.down.get() + 1);
-                true
-            }
-            None => return false,
+        let Some(&index) = self.inner.link_index.borrow().get(link) else {
+            return false;
         };
-        self.abort_where(|e| e.link == link);
-        found
+        {
+            let links = self.inner.links.borrow();
+            links[index].down.set(links[index].down.get() + 1);
+        }
+        self.abort_where(|e| e.link == index);
+        true
     }
 
     /// Brings a link back up (one nesting level). Returns `false` if the
     /// link is unknown.
     pub fn set_link_up(&self, link: &str) -> bool {
-        match self.inner.links.borrow().get(link) {
-            Some(state) => {
-                state.down.set(state.down.get().saturating_sub(1));
-                true
-            }
-            None => false,
-        }
+        let Some(&index) = self.inner.link_index.borrow().get(link) else {
+            return false;
+        };
+        let links = self.inner.links.borrow();
+        links[index]
+            .down
+            .set(links[index].down.get().saturating_sub(1));
+        true
     }
 
     /// Applies a partition: hosts in *different* listed groups cannot reach
-    /// each other; hosts not listed in any group are unaffected. Returns an
-    /// id for [`Fabric::heal_partition`]. Several partitions may be active
-    /// at once; a path is cut if any active partition cuts it.
+    /// each other; hosts not listed in any group (and names of no
+    /// registered host) are unaffected. Returns an id for
+    /// [`Fabric::heal_partition`]. Several partitions may be active at once;
+    /// a path is cut if any active partition cuts it.
     pub fn apply_partition(&self, groups: Vec<Vec<String>>) -> u64 {
+        let mut side = vec![None; self.inner.hosts.borrow().len()];
+        for (g, group) in groups.iter().enumerate() {
+            for name in group {
+                if let Some(host) = self.inner.host(name) {
+                    // A host listed twice belongs to its first group.
+                    side[host].get_or_insert(g);
+                }
+            }
+        }
         let id = self.inner.next_id.get();
         self.inner.next_id.set(id + 1);
-        self.inner.partitions.borrow_mut().push((id, groups));
-        self.abort_where(|e| self.check_path(&e.from, &e.to).is_err());
+        self.inner.partitions.borrow_mut().push((id, side));
+        self.abort_where(|e| self.inner.check_route(e.from, e.to).is_err());
         id
     }
 
@@ -340,15 +410,21 @@ impl Fabric {
         partitions.len() != before
     }
 
-    /// Marks a host down, aborting in-flight transfers touching it.
+    /// Marks a host down, aborting in-flight transfers touching it. An
+    /// unregistered name is ignored (it has no route to lose).
     pub fn set_host_down(&self, host: &str) {
-        self.inner.down_hosts.borrow_mut().insert(host.to_string());
-        self.abort_where(|e| e.from == host || e.to == host);
+        let Some(index) = self.inner.host(host) else {
+            return;
+        };
+        self.inner.hosts.borrow()[index].down.set(true);
+        self.abort_where(|e| e.from == index || e.to == index);
     }
 
     /// Brings a host back up.
     pub fn set_host_up(&self, host: &str) {
-        self.inner.down_hosts.borrow_mut().remove(host);
+        if let Some(index) = self.inner.host(host) {
+            self.inner.hosts.borrow()[index].down.set(false);
+        }
     }
 
     fn abort_where(&self, pred: impl Fn(&InflightEntry) -> bool) {
@@ -554,16 +630,22 @@ pub struct ClientNetStats {
 
 struct ServerNode {
     host: String,
+    /// Fabric host index of `host`.
+    id: usize,
     link: String,
     fs: CachedFileSystem,
     alive: Cell<bool>,
+    /// Version of each file this replica holds.
+    versions: RefCell<HashMap<FileId, u64>>,
 }
 
 struct ClientNode {
     host: String,
+    /// Fabric host index of `host`.
+    id: usize,
     mm: MemoryManager,
     /// Version of each file the client's read cache holds.
-    versions: RefCell<BTreeMap<FileId, u64>>,
+    versions: RefCell<HashMap<FileId, u64>>,
     degraded_reads: Cell<u64>,
     stale_reads: Cell<u64>,
 }
@@ -598,20 +680,40 @@ struct FleetInner {
     /// Fleet-level file registry (authoritative sizes).
     registry: FileRegistry,
     /// Latest successfully written version of each file.
-    versions: RefCell<BTreeMap<FileId, u64>>,
-    /// Version each replica has of each file.
-    server_versions: RefCell<BTreeMap<(usize, FileId), u64>>,
+    versions: RefCell<HashMap<FileId, u64>>,
     counters: NetCounters,
     crashes: RefCell<Vec<(String, CrashReport)>>,
 }
 
+/// The replica ring of one file: `len` servers starting at the primary,
+/// wrapping around the `servers` of the fleet.
+#[derive(Debug, Clone, Copy)]
+struct ReplicaRing {
+    primary: usize,
+    len: usize,
+    servers: usize,
+}
+
+impl ReplicaRing {
+    /// The `k`-th replica (`k = 0` is the primary).
+    fn get(self, k: usize) -> usize {
+        (self.primary + k) % self.servers
+    }
+
+    /// The replicas, primary first.
+    fn iter(self) -> impl Iterator<Item = usize> {
+        (0..self.len).map(move |k| self.get(k))
+    }
+}
+
 impl FleetInner {
-    fn replicas_of(&self, file: &FileId) -> Vec<usize> {
-        let m = self.servers.len();
-        let primary = (placement_hash(&file.to_string()) as usize) % m;
-        (0..self.spec.replication)
-            .map(|k| (primary + k) % m)
-            .collect()
+    fn replicas_of(&self, file: &FileId) -> ReplicaRing {
+        let servers = self.servers.len();
+        ReplicaRing {
+            primary: primary_server(servers, file.name()),
+            len: self.spec.replication,
+            servers,
+        }
     }
 
     fn version(&self, file: &FileId) -> u64 {
@@ -619,11 +721,18 @@ impl FleetInner {
     }
 
     fn server_version(&self, server: usize, file: &FileId) -> u64 {
-        self.server_versions
+        self.servers[server]
+            .versions
             .borrow()
-            .get(&(server, file.clone()))
+            .get(file)
             .copied()
             .unwrap_or(0)
+    }
+
+    /// Whether `client` can currently reach `server` over the fabric.
+    fn check_path(&self, client: usize, server: usize) -> Result<(), NetError> {
+        let (from, to) = (self.clients[client].id, self.servers[server].id);
+        self.fabric.inner.check_route(from, to).map(|_| ())
     }
 
     /// Serves `amount` bytes of a read on a server: server-cached data comes
@@ -688,11 +797,10 @@ impl FleetInner {
         if !node.alive.get() {
             return Err(NetError::HostDown(node.host.clone()));
         }
-        let client_host = &self.clients[client].host;
-        self.fabric.check_path(client_host, &node.host)?;
+        self.check_path(client, server)?;
         let fetched = self.serve_read(server, file, amount).await?;
         self.fabric
-            .transfer(&node.host, client_host, amount)
+            .transfer_between(node.id, self.clients[client].id, amount)
             .await?;
         Ok(fetched)
     }
@@ -720,7 +828,7 @@ impl FleetInner {
     async fn robust_fetch(
         &self,
         client: usize,
-        candidates: &[usize],
+        candidates: ReplicaRing,
         file: &FileId,
         amount: f64,
     ) -> Result<Fetched, NetError> {
@@ -728,15 +836,18 @@ impl FleetInner {
         let targets = if policy.failover {
             candidates
         } else {
-            &candidates[..1]
+            ReplicaRing {
+                len: 1,
+                ..candidates
+            }
         };
         let mut attempt: u32 = 1;
         loop {
-            let slot = (attempt - 1) as usize % targets.len();
-            let target = targets[slot];
+            let slot = (attempt - 1) as usize % targets.len;
+            let target = targets.get(slot);
             let hedge = match policy.hedge_delay {
-                Some(delay) if targets.len() > 1 => {
-                    Some((delay, targets[(slot + 1) % targets.len()]))
+                Some(delay) if targets.len > 1 => {
+                    Some((delay, targets.get((slot + 1) % targets.len)))
                 }
                 _ => None,
             };
@@ -770,7 +881,7 @@ impl FleetInner {
             };
             match outcome {
                 Ok(fetched) => {
-                    if fetched.server != candidates[0] {
+                    if fetched.server != candidates.primary {
                         bump(&self.counters.failovers);
                     }
                     return Ok(fetched);
@@ -802,7 +913,7 @@ impl FleetInner {
         len: f64,
     ) -> Result<IoOpStats, NetError> {
         let node = &self.servers[server];
-        let client_host = &self.clients[client].host;
+        let client_id = self.clients[client].id;
         let mut stats = IoOpStats::default();
         let mut cursor = offset;
         let mut remaining = len;
@@ -810,11 +921,13 @@ impl FleetInner {
             if !node.alive.get() {
                 return Err(NetError::HostDown(node.host.clone()));
             }
-            self.fabric.check_path(client_host, &node.host)?;
+            self.check_path(client, server)?;
             // A zero-length write still creates/extends the replica file.
             let chunk = remaining.min(self.chunk_size);
             if chunk > EPSILON {
-                self.fabric.transfer(client_host, &node.host, chunk).await?;
+                self.fabric
+                    .transfer_between(client_id, node.id, chunk)
+                    .await?;
             }
             let st = node
                 .fs
@@ -939,6 +1052,7 @@ impl FleetClient {
             let host = server_host(i);
             let link = server_link(i);
             fabric.add_host(&host);
+            let id = fabric.inner.host(&host).expect("host just added");
             fabric.add_link(&link, devices.network_bandwidth, devices.network_latency);
             let memory = MemoryDevice::new(ctx, devices.memory);
             let disk = Disk::new(ctx, format!("{host}-disk"), devices.remote_disk);
@@ -951,15 +1065,18 @@ impl FleetClient {
             let io = IoController::new(ctx, mm).with_chunk_size(platform.chunk_size);
             servers.push(ServerNode {
                 host,
+                id,
                 link,
                 fs: CachedFileSystem::new(io, disk),
                 alive: Cell::new(true),
+                versions: RefCell::new(HashMap::new()),
             });
         }
         let mut clients = Vec::with_capacity(spec.clients);
         for i in 0..spec.clients {
             let host = client_host(i);
             fabric.add_host(&host);
+            let id = fabric.inner.host(&host).expect("host just added");
             for server in &servers {
                 fabric.add_route(&host, &server.host, &server.link);
             }
@@ -970,8 +1087,9 @@ impl FleetClient {
             let mm = MemoryManager::new(ctx, cache_config(platform.host_memory), memory, disk);
             clients.push(ClientNode {
                 host,
+                id,
                 mm,
-                versions: RefCell::new(BTreeMap::new()),
+                versions: RefCell::new(HashMap::new()),
                 degraded_reads: Cell::new(0),
                 stale_reads: Cell::new(0),
             });
@@ -985,8 +1103,7 @@ impl FleetClient {
                 servers,
                 clients,
                 registry: FileRegistry::new(),
-                versions: RefCell::new(BTreeMap::new()),
-                server_versions: RefCell::new(BTreeMap::new()),
+                versions: RefCell::new(HashMap::new()),
                 counters: NetCounters::default(),
                 crashes: RefCell::new(Vec::new()),
             }),
@@ -1017,14 +1134,14 @@ impl FleetClient {
         &self.inner.fabric
     }
 
-    /// Replica ring of a file (primary first).
+    /// Replica ring of a file (server indices, primary first).
     pub fn replicas_of(&self, file: &FileId) -> Vec<usize> {
-        self.inner.replicas_of(file)
+        self.inner.replicas_of(file).iter().collect()
     }
 
     /// Primary server index of a file.
     pub fn primary_of(&self, file: &FileId) -> usize {
-        self.inner.replicas_of(file)[0]
+        self.inner.replicas_of(file).primary
     }
 
     /// Crashes a server by host name: its dirty cached data is lost (the
@@ -1082,7 +1199,7 @@ impl IoBackend for FleetClient {
             .registry
             .create(file, size)
             .map_err(ScenarioError::from)?;
-        for &s in &self.inner.replicas_of(file) {
+        for s in self.inner.replicas_of(file).iter() {
             let node = &self.inner.servers[s];
             if node.alive.get() {
                 node.fs
@@ -1126,7 +1243,7 @@ impl IoBackend for FleetClient {
 
             if from_remote > EPSILON {
                 match inner
-                    .robust_fetch(self.client, &candidates, file, from_remote)
+                    .robust_fetch(self.client, candidates, file, from_remote)
                     .await
                 {
                     Ok(fetched) => {
@@ -1183,7 +1300,7 @@ impl IoBackend for FleetClient {
         let replicas = inner.replicas_of(file);
         let mut stats = IoOpStats::default();
         let mut succeeded = Vec::new();
-        for &server in &replicas {
+        for server in replicas.iter() {
             match inner
                 .robust_write(self.client, server, file, offset, len)
                 .await
@@ -1206,11 +1323,11 @@ impl IoBackend for FleetClient {
             *entry += 1;
             *entry
         };
-        {
-            let mut server_versions = inner.server_versions.borrow_mut();
-            for &server in &succeeded {
-                server_versions.insert((server, file.clone()), version);
-            }
+        for &server in &succeeded {
+            inner.servers[server]
+                .versions
+                .borrow_mut()
+                .insert(file.clone(), version);
         }
         let new_size = inner.registry.size(file).unwrap_or(0.0).max(offset + len);
         inner.registry.create_or_replace(file, new_size);
@@ -1226,12 +1343,11 @@ impl IoBackend for FleetClient {
         let inner = &self.inner;
         inner.registry.size(file).map_err(ScenarioError::from)?;
         let start = inner.ctx.now();
-        let client_host = inner.clients[self.client].host.clone();
         let mut stats = IoOpStats::default();
         let mut any = false;
-        for &server in &inner.replicas_of(file) {
+        for server in inner.replicas_of(file).iter() {
             let node = &inner.servers[server];
-            if !node.alive.get() || inner.fabric.check_path(&client_host, &node.host).is_err() {
+            if !node.alive.get() || inner.check_path(self.client, server).is_err() {
                 continue;
             }
             if let Ok(st) = node.fs.fsync(file).await {
@@ -1250,10 +1366,9 @@ impl IoBackend for FleetClient {
     async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
         let start = inner.ctx.now();
-        let client_host = inner.clients[self.client].host.clone();
         let mut stats = IoOpStats::default();
-        for node in &inner.servers {
-            if !node.alive.get() || inner.fabric.check_path(&client_host, &node.host).is_err() {
+        for (server, node) in inner.servers.iter().enumerate() {
+            if !node.alive.get() || inner.check_path(self.client, server).is_err() {
                 continue;
             }
             let st = node.fs.sync().await;
@@ -1489,6 +1604,75 @@ mod tests {
         });
         sim.run();
         assert!(done.is_finished());
+    }
+
+    /// The index-keyed route table against the name-level contract: routes
+    /// resolve both ways, unknown names report `NoRoute` with the names as
+    /// given, and the error precedence is host down, then partition, then no
+    /// route, then link down.
+    #[test]
+    fn fabric_route_table_and_error_precedence() {
+        let sim = Simulation::new();
+        let fabric = Fabric::new(&sim.context());
+        for host in ["a", "b", "c", "d"] {
+            fabric.add_host(host);
+        }
+        fabric.add_link("ab", NET_BW, 0.0);
+        fabric.add_link("cd", NET_BW, 0.0);
+        fabric.add_route("a", "b", "ab");
+        fabric.add_route("d", "c", "cd");
+        for (from, to) in [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")] {
+            assert_eq!(fabric.check_path(from, to), Ok(()), "{from} -> {to}");
+        }
+        let no_route = |from: &str, to: &str| NetError::NoRoute {
+            from: from.to_string(),
+            to: to.to_string(),
+        };
+        assert_eq!(fabric.check_path("a", "c"), Err(no_route("a", "c")));
+        assert_eq!(fabric.check_path("x", "b"), Err(no_route("x", "b")));
+        assert_eq!(fabric.check_path("a", "ghost"), Err(no_route("a", "ghost")));
+        assert_eq!(fabric.check_path("b", "b"), Err(no_route("b", "b")));
+
+        // Stack every fault on the a -> b path and peel them off one by one.
+        assert!(fabric.set_link_down("ab"));
+        let id = fabric.apply_partition(vec![vec!["a".to_string()], vec!["b".to_string()]]);
+        fabric.set_host_down("b");
+        assert_eq!(
+            fabric.check_path("a", "b"),
+            Err(NetError::HostDown("b".to_string()))
+        );
+        fabric.set_host_down("a");
+        assert_eq!(
+            fabric.check_path("a", "b"),
+            Err(NetError::HostDown("a".to_string()))
+        );
+        fabric.set_host_up("a");
+        fabric.set_host_up("b");
+        assert_eq!(fabric.check_path("a", "b"), Err(NetError::Partitioned));
+        assert!(fabric.heal_partition(id));
+        assert_eq!(
+            fabric.check_path("a", "b"),
+            Err(NetError::LinkDown("ab".to_string()))
+        );
+        // A partition outranks a missing route; a down host outranks both.
+        let id = fabric.apply_partition(vec![vec!["a".to_string()], vec!["c".to_string()]]);
+        assert_eq!(fabric.check_path("a", "c"), Err(NetError::Partitioned));
+        fabric.set_host_down("c");
+        assert_eq!(
+            fabric.check_path("a", "c"),
+            Err(NetError::HostDown("c".to_string()))
+        );
+        fabric.set_host_up("c");
+        assert!(fabric.heal_partition(id));
+        // A missing route outranks a down link elsewhere.
+        assert!(fabric.set_link_down("cd"));
+        assert_eq!(fabric.check_path("a", "c"), Err(no_route("a", "c")));
+        assert!(fabric.set_link_up("ab"));
+        assert_eq!(fabric.check_path("b", "a"), Ok(()));
+        assert_eq!(
+            fabric.check_path("c", "d"),
+            Err(NetError::LinkDown("cd".to_string()))
+        );
     }
 
     #[test]

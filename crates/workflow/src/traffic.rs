@@ -42,7 +42,6 @@
 //! therefore model a noisy neighbor with and without cache isolation.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use des::SimContext;
@@ -589,7 +588,10 @@ struct Request {
 
 /// Mutable run state of one generator, shared by its request tasks.
 struct GenState {
-    created: HashSet<usize>,
+    /// The ids of the catalog files created so far, by catalog index: each
+    /// is named and interned once, when its file is created, and reused by
+    /// every later request of the file. Grows on demand, like the catalog.
+    created: Vec<Option<FileId>>,
     issued: u64,
     completed: u64,
     failed: u64,
@@ -610,7 +612,7 @@ struct GenState {
 impl GenState {
     fn new(start: f64) -> Self {
         GenState {
-            created: HashSet::new(),
+            created: Vec::new(),
             issued: 0,
             completed: 0,
             failed: 0,
@@ -627,6 +629,11 @@ impl GenState {
             limit_evicted: 0.0,
             limit_flushed: 0.0,
         }
+    }
+
+    /// The id of catalog file `idx`, if the file was created.
+    fn created_id(&self, idx: usize) -> Option<FileId> {
+        self.created.get(idx).cloned().flatten()
     }
 
     fn note_in_flight(&mut self, now: f64, delta: i64) {
@@ -713,7 +720,10 @@ async fn execute_request(gen: Rc<GenCtx>, req: Request, base: f64) -> Result<(),
         faults,
     } = &*gen;
     let group = *group;
-    let id = catalog_file(spec, req.file);
+    let created = state.borrow().created_id(req.file);
+    let id = created
+        .clone()
+        .unwrap_or_else(|| catalog_file(spec, req.file));
     let class = if req.is_read {
         OpClass::Read
     } else {
@@ -728,13 +738,15 @@ async fn execute_request(gen: Rc<GenCtx>, req: Request, base: f64) -> Result<(),
     }
     // Lazy catalog: the file springs into existence (and into the tenant's
     // cache group) on first touch.
-    {
+    if created.is_none() {
         let mut s = state.borrow_mut();
-        if s.created.insert(req.file) {
-            backend.create_file(&id, file_size(spec, req.file))?;
-            if spec.tenant.is_some() {
-                backend.set_file_group(&id, group);
-            }
+        if s.created.len() <= req.file {
+            s.created.resize(req.file + 1, None);
+        }
+        s.created[req.file] = Some(id.clone());
+        backend.create_file(&id, file_size(spec, req.file))?;
+        if spec.tenant.is_some() {
+            backend.set_file_group(&id, group);
         }
     }
     state.borrow_mut().note_in_flight(ctx.now().as_secs(), 1);
