@@ -1483,9 +1483,7 @@ impl KernelCache {
     /// not the volatile state. Takes no simulated time.
     pub fn crash_discard(&self) -> Vec<(FileId, Vec<(f64, f64)>)> {
         let mut s = self.state.borrow_mut();
-        let mut entries: Vec<(FileId, u32)> =
-            s.index.iter().map(|(k, &i)| (k.clone(), i)).collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let entries: Vec<(FileId, u32)> = s.index.iter().map(|(k, &i)| (k.clone(), i)).collect();
         let mut lost = Vec::new();
         for (file, i) in entries {
             let slot = s.slots[i as usize].take().expect("indexed slot is live");
@@ -1493,6 +1491,7 @@ impl KernelCache {
                 lost.push((file, slot.dirty.spans));
             }
         }
+        lost.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         s.index.clear();
         s.slots.clear();
         s.free_slots.clear();
