@@ -1,12 +1,14 @@
 //! # `bench` — benchmark harness
 //!
-//! Criterion benchmarks for the simulator itself:
+//! Criterion benchmark for the simulator itself: `pagecache_micro`,
+//! micro-benchmarks of the LRU list operations, the kernel emulator's
+//! victim selection, fair bandwidth sharing, the discrete-event engine,
+//! traffic generation and a replicated fleet. `scripts/bench.sh` runs it
+//! and writes `BENCH_*.json`.
 //!
-//! * `sim_time` — regenerates Fig. 8 (simulation wall-clock time vs number of
-//!   concurrent application instances, local and NFS, cacheless and cached);
-//! * `pagecache_micro` — micro-benchmarks of the LRU list operations, the
-//!   kernel emulator's victim selection and the discrete-event engine;
-//! * `ablations` — ablations of three modelling choices of the page-cache
-//!   model (block coalescing via chunk size, dirty ratio, sharing policy).
+//! Simulation cost is measured elsewhere: `experiments::simtime` and the
+//! `fig8` binary regenerate the paper's Fig. 8 (wall-clock time vs number
+//! of concurrent instances), and `simbench/` measures requests simulated
+//! per host second end to end.
 //!
 //! Run with `cargo bench -p bench`.

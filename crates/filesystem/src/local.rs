@@ -364,6 +364,7 @@ mod tests {
         fs.create_file(&"f".into(), 100.0 * MB).unwrap();
         fs.memory_manager().add_to_cache(&"f".into(), 100.0 * MB);
         fs.delete_file(&"f".into()).unwrap();
+        assert!(!fs.registry().exists(&"f".into()));
         approx(fs.disk().used(), 0.0);
         approx(fs.memory_manager().cached(), 0.0);
         assert!(fs.delete_file(&"f".into()).is_err());
@@ -418,11 +419,12 @@ mod tests {
                     .unwrap();
                 let fsync = fs.fsync(&"g".into()).await.unwrap();
                 let fsync_again = fs.fsync(&"g".into()).await.unwrap();
-                (partial, w, fsync, fsync_again)
+                let sync = fs.sync().await;
+                (partial, w, fsync, fsync_again, sync)
             }
         });
         sim.run();
-        let (partial, w, fsync, fsync_again) = h.try_take_result().unwrap();
+        let (partial, w, fsync, fsync_again, sync) = h.try_take_result().unwrap();
         approx(partial.bytes_from_cache, 200.0 * MB);
         approx(partial.bytes_from_disk, 0.0);
         approx(w.bytes_to_cache, 50.0 * MB);
@@ -430,6 +432,8 @@ mod tests {
         approx(fs.disk().used(), 650.0 * MB);
         approx(fsync.bytes_to_disk, 50.0 * MB);
         approx(fsync_again.bytes_to_disk, 0.0);
+        // fsync already cleaned everything: a whole-cache sync writes nothing.
+        approx(sync.bytes_to_disk, 0.0);
         approx(fs.memory_manager().dirty(), 0.0);
     }
 
@@ -484,6 +488,7 @@ mod tests {
         approx(r1.duration, 5.0);
         approx(r2.duration, 5.0);
         approx(r1.bytes_from_disk, 500.0 * MB);
+        approx(r1.bytes_from_cache, 0.0);
         approx(w.duration, 2.0);
         approx(w.bytes_to_disk, 200.0 * MB);
         fs.delete_file(&"out".into()).unwrap();

@@ -1,20 +1,19 @@
 //! The proof obligation of a scenario-adding PR: regenerating
 //! `baselines/golden.json` (new scenarios add metrics) must not move any
-//! **pre-existing** prediction. `baselines/golden_pr8.json` is the frozen
-//! snapshot of the baseline as it stood before the traffic tier (it holds,
-//! bit-identically, every metric of the earlier frozen snapshots taken
-//! before the readahead model, fault injection and the network tier); every
-//! metric it pins must come out of today's
-//! registry bit-identical — in particular, traffic generation and tenant
-//! cache groups are **off by default** and must not move anything.
+//! **pre-existing** prediction. `baselines/golden_pr13.json` is the frozen
+//! snapshot of the full 45-scenario baseline (it holds, bit-identically,
+//! every metric of the earlier frozen snapshots taken before the readahead
+//! model, fault injection, the network tier and the traffic tier, and the
+//! four `traffic_*` scenarios, both tenant-cap scenarios among them); every
+//! metric it pins must come out of today's registry bit-identical.
 //!
 //! CI runs the same check via `sweep --check --check-frozen
-//! baselines/golden_pr8.json`; this test keeps it enforced under plain
+//! baselines/golden_pr13.json`; this test keeps it enforced under plain
 //! `cargo test` too.
 
 use harness::{compare_intersection_exact, parse, registry, run_sweep, SweepConfig};
 
-const FROZEN: &str = include_str!("../../../baselines/golden_pr8.json");
+const FROZEN: &str = include_str!("../../../baselines/golden_pr13.json");
 
 #[test]
 fn pre_existing_golden_metrics_are_bit_identical() {

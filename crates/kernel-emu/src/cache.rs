@@ -74,7 +74,8 @@ use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
 use pagecache::{
-    CacheContentSnapshot, FileId, FileMeta, MemorySample, MemoryTrace, ReplacementPolicy,
+    CacheContentSnapshot, CacheGroups, FileId, FileMeta, GroupLimits, MemorySample, MemoryTrace,
+    ReplacementPolicy, Scope,
 };
 use storage_model::{Disk, MemoryDevice};
 
@@ -390,14 +391,6 @@ struct FileSlot {
     stale_since: Option<u64>,
 }
 
-/// Incrementally maintained byte totals of one cache group (tenant) — the
-/// emulator-side memcg analogue of `pagecache`'s group aggregates.
-#[derive(Debug, Default, Clone, Copy)]
-struct GroupBytes {
-    cached: f64,
-    dirty: f64,
-}
-
 struct State {
     /// File -> slab slot, hashed on [`FileId`] identity (O(1) per lookup).
     /// Victim selection goes through the victim indexes instead of scanning
@@ -432,12 +425,9 @@ struct State {
     cached_total: f64,
     /// Incrementally maintained sum of `FilePages::dirty` over all files.
     dirty_total: f64,
-    /// Cache-group (tenant) assignment per file. Configuration, not cache
-    /// state: assignments survive eviction and crashes.
-    group_of: HashMap<FileId, u32>,
-    /// Per-group byte totals, mirrored at every site that moves
+    /// Cache-group (tenant) ledger, fed at every site that moves
     /// `cached_total` / `dirty_total` (verified by the debug oracle).
-    group_bytes: HashMap<u32, GroupBytes>,
+    groups: CacheGroups,
     trace: MemoryTrace,
     counters: KernelCacheCounters,
     /// Replacement policy: decides victim-file ordering, second chances and
@@ -509,7 +499,7 @@ impl State {
         self.reindex(i);
         if added > EPS {
             self.cached_total += added;
-            self.group_adjust(file, added, 0.0);
+            self.groups.adjust(file, added, 0.0);
         }
         added
     }
@@ -554,7 +544,7 @@ impl State {
         self.reindex(i);
         self.cached_total += added;
         self.dirty_total += added + redirtied;
-        self.group_adjust(file, added, added + redirtied);
+        self.groups.adjust(file, added, added + redirtied);
     }
 
     /// Brings slot `i`'s victim-index entries in line with its page state:
@@ -672,18 +662,12 @@ impl State {
     }
 
     /// Reclaims up to `amount` clean bytes, walking the clean index from the
-    /// front: files of other groups (when `group` is set) and `exclude` are
-    /// skipped. The first pass also skips files being written (when
-    /// `protect` is set) and grants reference-bit second chances; a second
-    /// pass without those skips runs only if the first fell short. Returns
-    /// the evicted amount. O(log F) per visited file.
-    fn reclaim(
-        &mut self,
-        amount: f64,
-        exclude: Option<&FileId>,
-        group: Option<u32>,
-        protect: bool,
-    ) -> f64 {
+    /// front and skipping the files `scope` does not admit. The first pass
+    /// also skips files being written (when `protect` is set) and grants
+    /// reference-bit second chances; a second pass without those skips runs
+    /// only if the first fell short. Returns the evicted amount. O(log F)
+    /// per visited file.
+    fn reclaim(&mut self, amount: f64, scope: Scope<'_>, protect: bool) -> f64 {
         #[cfg(test)]
         let reference = self.reference.then(|| self.reference_clean_order());
         #[cfg(not(test))]
@@ -710,8 +694,7 @@ impl State {
                 self.scans.evict_visited += 1;
                 let st = &mut *self;
                 let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-                if exclude.is_some_and(|f| f == &slot.file)
-                    || group.is_some_and(|g| st.group_of.get(&slot.file) != Some(&g))
+                if !st.groups.admits(scope, &slot.file)
                     || (respect_protection && protect && slot.pages.write_open)
                 {
                     continue;
@@ -729,8 +712,7 @@ impl State {
                     if slot.pages.cached() <= EPS {
                         st.policy.file_on_evict(&slot.file, &slot.meta);
                     }
-                    let f = slot.file.clone();
-                    st.group_adjust(&f, -removed, 0.0);
+                    st.groups.adjust(&slot.file, -removed, 0.0);
                 }
                 if removed > 0.0 {
                     touched.push(i);
@@ -752,11 +734,10 @@ impl State {
     }
 
     /// Marks up to `amount` dirty bytes clean, oldest dirty file first,
-    /// walking the dirty index from the front and skipping files of other
-    /// groups when `group` is set. The caller counts the bytes and simulates
-    /// the disk write. Returns the amount cleaned. O(log F) per visited
-    /// file.
-    fn flush(&mut self, amount: f64, group: Option<u32>) -> f64 {
+    /// walking the dirty index from the front and skipping the files `scope`
+    /// does not admit. The caller counts the bytes and simulates the disk
+    /// write. Returns the amount cleaned. O(log F) per visited file.
+    fn flush(&mut self, amount: f64, scope: Scope<'_>) -> f64 {
         #[cfg(test)]
         let reference = self.reference.then(|| {
             // The reference prunes the chain for real (see `dirty_prunes`).
@@ -778,21 +759,21 @@ impl State {
                 break;
             };
             self.scans.write_back_visited += 1;
-            if group.is_some_and(|g| self.group_of.get(&self.slot(i).file) != Some(&g)) {
+            let st = &mut *self;
+            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+            if !st.groups.admits(scope, &slot.file) {
                 continue;
             }
-            let slot = self.slot_mut(i);
             let cleaned = slot.pages.clean_dirty(amount - flushed);
             flushed += cleaned;
             if cleaned > 0.0 {
                 // Partial writeback cleans the durability ledger from the
                 // lowest offsets (deterministic approximation).
                 slot.dirty.trim_front(cleaned);
-                let f = slot.file.clone();
-                self.group_adjust(&f, 0.0, -cleaned);
+                st.groups.adjust(&slot.file, 0.0, -cleaned);
                 touched.push(i);
                 #[cfg(test)]
-                self.victims.push((f, cleaned));
+                self.victims.push((self.slot(i).file.clone(), cleaned));
             }
         }
         for i in touched {
@@ -800,18 +781,6 @@ impl State {
         }
         self.dirty_total = (self.dirty_total - flushed).max(0.0);
         flushed
-    }
-
-    /// Applies byte deltas to the cache-group aggregates of `file` (no-op
-    /// for ungrouped files). Negative deltas saturate at zero, matching the
-    /// clamping of the global totals.
-    fn group_adjust(&mut self, file: &FileId, d_cached: f64, d_dirty: f64) {
-        let Some(&g) = self.group_of.get(file) else {
-            return;
-        };
-        let gb = self.group_bytes.entry(g).or_default();
-        gb.cached = (gb.cached + d_cached).max(0.0);
-        gb.dirty = (gb.dirty + d_dirty).max(0.0);
     }
 
     /// Scan-based oracle for the incremental totals, the victim indexes and
@@ -822,7 +791,6 @@ impl State {
         {
             debug_assert_eq!(self.index.len() + self.free_slots.len(), self.slots.len());
             let (mut cached, mut dirty) = (0.0, 0.0);
-            let mut group_scan: HashMap<u32, GroupBytes> = HashMap::new();
             let (mut clean_members, mut dirty_members) = (0, 0);
             for (file, &i) in &self.index {
                 let s = self.slot(i);
@@ -830,13 +798,6 @@ impl State {
                 let (file_cached, file_dirty) = (s.pages.cached(), s.pages.dirty());
                 cached += file_cached;
                 dirty += file_dirty;
-                // Group aggregates must match a scan through the assignment
-                // map.
-                if let Some(&g) = self.group_of.get(file) {
-                    let gb = group_scan.entry(g).or_default();
-                    gb.cached += file_cached;
-                    gb.dirty += file_dirty;
-                }
                 // The resident ranges and the float aggregates must describe
                 // the same number of bytes, and the spans must be sorted and
                 // disjoint.
@@ -884,20 +845,12 @@ impl State {
                 self.dirty_total,
                 dirty
             );
-            for (&g, gb) in &self.group_bytes {
-                let sc = group_scan.get(&g).copied().unwrap_or_default();
-                debug_assert!(
-                    (gb.cached - sc.cached).abs() <= EPS + 1e-9 * sc.cached.abs(),
-                    "group {g} cached {} != scan {}",
-                    gb.cached,
-                    sc.cached
-                );
-                debug_assert!(
-                    (gb.dirty - sc.dirty).abs() <= EPS + 1e-9 * sc.dirty.abs(),
-                    "group {g} dirty {} != scan {}",
-                    gb.dirty,
-                    sc.dirty
-                );
+            // Group aggregates must match a scan through the assignments.
+            if let Err(e) = self.groups.check_scan(self.index.iter().map(|(file, &i)| {
+                let p = &self.slot(i).pages;
+                (file, p.cached(), p.dirty())
+            })) {
+                panic!("group aggregates diverged from the scan: {e}");
             }
             // Each index holds one entry per qualifying file, under the key
             // its slot records, and consecutive entries are strictly ordered
@@ -1031,8 +984,7 @@ impl KernelCache {
                 anonymous: 0.0,
                 cached_total: 0.0,
                 dirty_total: 0.0,
-                group_of: HashMap::new(),
-                group_bytes: HashMap::new(),
+                groups: CacheGroups::default(),
                 trace: MemoryTrace::new(),
                 counters: KernelCacheCounters::default(),
                 policy: tuning.eviction_policy.build(),
@@ -1161,7 +1113,7 @@ impl KernelCache {
         s.free_slots.push(i);
         s.cached_total = (s.cached_total - pages.cached()).max(0.0);
         s.dirty_total = (s.dirty_total - pages.dirty()).max(0.0);
-        s.group_adjust(file, -pages.cached(), -pages.dirty());
+        s.groups.adjust(file, -pages.cached(), -pages.dirty());
         s.debug_validate();
         pages.cached()
     }
@@ -1177,112 +1129,16 @@ impl KernelCache {
             .pages(file)
             .map(|p| (p.cached(), p.dirty()))
             .unwrap_or((0.0, 0.0));
-        if let Some(&old) = s.group_of.get(file) {
-            if let Some(gb) = s.group_bytes.get_mut(&old) {
-                gb.cached = (gb.cached - cached).max(0.0);
-                gb.dirty = (gb.dirty - dirty).max(0.0);
-            }
-        }
-        match group {
-            Some(g) => {
-                s.group_of.insert(file.clone(), g);
-                let gb = s.group_bytes.entry(g).or_default();
-                gb.cached += cached;
-                gb.dirty += dirty;
-            }
-            None => {
-                s.group_of.remove(file);
-            }
-        }
+        s.groups.assign(file, group, cached, dirty);
         s.debug_validate();
-    }
-
-    /// Cached bytes (clean + dirty) currently attributed to a cache group.
-    pub fn group_cached(&self, group: u32) -> f64 {
-        self.state
-            .borrow()
-            .group_bytes
-            .get(&group)
-            .map_or(0.0, |gb| gb.cached)
-    }
-
-    /// Dirty bytes currently attributed to a cache group.
-    pub fn group_dirty(&self, group: u32) -> f64 {
-        self.state
-            .borrow()
-            .group_bytes
-            .get(&group)
-            .map_or(0.0, |gb| gb.dirty)
-    }
-
-    /// Evicts up to `amount` bytes of clean pages belonging to one cache
-    /// group. Same victim ordering and protection passes as
-    /// [`KernelCache::evict`], restricted to the group's files.
-    pub fn evict_group(&self, amount: f64, group: u32) -> f64 {
-        if amount <= EPS {
-            return 0.0;
-        }
-        let mut s = self.state.borrow_mut();
-        let evicted = s.reclaim(
-            amount,
-            None,
-            Some(group),
-            self.tuning.protect_files_being_written,
-        );
-        s.debug_validate();
-        evicted
     }
 
     /// Writes back up to `amount` bytes of one cache group's dirty pages,
     /// oldest dirty file first, simulating the disk writes. Counted as
     /// throttled (synchronous) writeback. Returns the amount written back.
     pub async fn write_back_group(&self, amount: f64, group: u32) -> f64 {
-        if amount <= EPS {
-            return 0.0;
-        }
-        let flushed = {
-            let mut s = self.state.borrow_mut();
-            let flushed = s.flush(amount, Some(group));
-            s.counters.throttled_writeback += flushed;
-            s.debug_validate();
-            flushed
-        };
-        if flushed > EPS {
-            self.disk.write(flushed).await;
-        }
-        flushed
-    }
-
-    /// Enforces memcg-style limits on one cache group: writes back the
-    /// group's dirty pages above `max_dirty`, evicts its clean pages above
-    /// `max_bytes`, and — if the group still exceeds its cap because the
-    /// overflow is dirty — flushes and evicts that remainder too. Disk write
-    /// time is simulated. Returns `(evicted, flushed)` byte totals.
-    pub async fn enforce_group_limits(
-        &self,
-        group: u32,
-        max_bytes: f64,
-        max_dirty: f64,
-    ) -> (f64, f64) {
-        let mut flushed = 0.0;
-        let over_dirty = self.group_dirty(group) - max_dirty;
-        if over_dirty > EPS {
-            flushed += self.write_back_group(over_dirty, group).await;
-        }
-        let mut evicted = 0.0;
-        let over = self.group_cached(group) - max_bytes;
-        if over > EPS {
-            evicted += self.evict_group(over, group);
-        }
-        let still_over = self.group_cached(group) - max_bytes;
-        if still_over > EPS {
-            flushed += self.write_back_group(still_over, group).await;
-            let rest = self.group_cached(group) - max_bytes;
-            if rest > EPS {
-                evicted += self.evict_group(rest, group);
-            }
-        }
-        (evicted, flushed)
+        self.write_back_scoped(amount, Scope::Group(group), true)
+            .await
     }
 
     /// Evicts up to `amount` bytes of clean pages, lowest-ranked and
@@ -1297,16 +1153,16 @@ impl KernelCache {
     /// file 0, reproducing the historical `(last_access, file name)`
     /// selection order exactly.
     pub fn evict(&self, amount: f64, exclude: Option<&FileId>) -> f64 {
+        self.evict_scoped(amount, Scope::Except(exclude))
+    }
+
+    /// Body of [`KernelCache::evict`] and [`GroupLimits::evict_group`].
+    fn evict_scoped(&self, amount: f64, scope: Scope<'_>) -> f64 {
         if amount <= EPS {
             return 0.0;
         }
         let mut s = self.state.borrow_mut();
-        let evicted = s.reclaim(
-            amount,
-            exclude,
-            None,
-            self.tuning.protect_files_being_written,
-        );
+        let evicted = s.reclaim(amount, scope, self.tuning.protect_files_being_written);
         s.debug_validate();
         evicted
     }
@@ -1318,12 +1174,19 @@ impl KernelCache {
     /// Victims come from the front of the dirty index, ordered by
     /// `(oldest_dirty, file name)`: O(log F) per visited file.
     pub async fn write_back(&self, amount: f64, throttled: bool) -> f64 {
+        self.write_back_scoped(amount, Scope::Except(None), throttled)
+            .await
+    }
+
+    /// Body of [`KernelCache::write_back`] and
+    /// [`KernelCache::write_back_group`].
+    async fn write_back_scoped(&self, amount: f64, scope: Scope<'_>, throttled: bool) -> f64 {
         if amount <= EPS {
             return 0.0;
         }
         let flushed = {
             let mut s = self.state.borrow_mut();
-            let flushed = s.flush(amount, None);
+            let flushed = s.flush(amount, scope);
             if throttled {
                 s.counters.throttled_writeback += flushed;
             } else {
@@ -1457,7 +1320,7 @@ impl KernelCache {
             s.reindex(i);
             s.counters.throttled_writeback += cleaned;
             s.dirty_total = (s.dirty_total - cleaned).max(0.0);
-            s.group_adjust(file, 0.0, -cleaned);
+            s.groups.adjust(file, 0.0, -cleaned);
             s.debug_validate();
             cleaned
         };
@@ -1503,7 +1366,7 @@ impl KernelCache {
         s.dirty_total = 0.0;
         // Group *aggregates* are volatile cache state and reset with it; the
         // group *assignments* are configuration and survive the crash.
-        s.group_bytes.clear();
+        s.groups.reset_bytes();
         s.debug_validate();
         lost
     }
@@ -1603,6 +1466,27 @@ impl KernelCache {
     /// Asks the background writeback loop to exit at its next wakeup.
     pub fn stop(&self) {
         self.state.borrow_mut().stop = true;
+    }
+}
+
+/// Group eviction follows [`KernelCache::evict`] (same victim order and
+/// protection passes, restricted to the group's files); group flushing is
+/// [`KernelCache::write_back_group`].
+impl GroupLimits for KernelCache {
+    fn group_cached(&self, group: u32) -> f64 {
+        self.state.borrow().groups.cached(group)
+    }
+
+    fn group_dirty(&self, group: u32) -> f64 {
+        self.state.borrow().groups.dirty(group)
+    }
+
+    fn evict_group(&self, amount: f64, group: u32) -> f64 {
+        self.evict_scoped(amount, Scope::Group(group))
+    }
+
+    async fn flush_group(&self, amount: f64, group: u32) -> f64 {
+        self.write_back_group(amount, group).await
     }
 }
 

@@ -13,6 +13,10 @@
 //! * the [`IoController`], which applications use to read and write files
 //!   chunk by chunk (Algorithms 2 and 3), in writeback or writethrough mode.
 //!
+//! The [`group`] module holds the memcg-style cache groups (tenants) that
+//! this model and the `kernel-emu` emulator share: the [`CacheGroups`]
+//! ledger and the [`GroupLimits`] enforcement algorithm.
+//!
 //! Device times (disk, memory bus) are simulated by the flow-level models of
 //! the [`storage_model`] crate on top of the [`des`] engine, so concurrent
 //! applications contend for bandwidth exactly as in the paper's SimGrid-based
@@ -47,6 +51,7 @@
 mod block;
 mod config;
 mod controller;
+pub mod group;
 mod lru;
 mod manager;
 pub mod policy;
@@ -55,6 +60,7 @@ mod stats;
 pub use block::{DataBlock, FileId};
 pub use config::{PageCacheConfig, WriteMode};
 pub use controller::{clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
+pub use group::{CacheGroups, GroupLimits, Scope};
 pub use lru::{ListKind, LruLists, EPSILON};
 pub use manager::{MemoryManager, MemoryManagerCounters};
 pub use policy::{EvictionPolicy, FileMeta, ReplacementPolicy, MAX_TIERS};

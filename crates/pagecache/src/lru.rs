@@ -108,6 +108,7 @@ use std::collections::{BTreeMap, HashMap};
 use des::SimTime;
 
 use crate::block::{DataBlock, FileId};
+use crate::group::{CacheGroups, Scope};
 use crate::policy::{EvictionPolicy, ReplacementPolicy, MAX_TIERS};
 
 /// Bytes below which two amounts are considered equal.
@@ -302,17 +303,6 @@ impl ListAgg {
     }
 }
 
-/// Incrementally maintained byte totals of one cache group (tenant). Memcg
-/// analogue: the per-cgroup page counters the kernel keeps next to the
-/// global LRU accounting.
-#[derive(Debug, Default, Clone, Copy)]
-struct GroupBytes {
-    /// Cached bytes of the group's files (all tiers, clean + dirty).
-    cached: f64,
-    /// Dirty bytes of the group's files (all tiers).
-    dirty: f64,
-}
-
 /// Incrementally maintained byte totals of one file.
 #[derive(Debug, Default, Clone, Copy)]
 struct FileBytes {
@@ -358,15 +348,11 @@ pub struct LruLists {
     /// inactive list and tier 1 the active list.
     lists: [ListState; MAX_TIERS],
     per_file: HashMap<FileId, FileState>,
-    /// Cache-group (tenant) assignment per file. Files without an entry
-    /// belong to no group; the assignment survives full eviction of the
-    /// file (it is configuration, not cache state).
-    group_of: HashMap<FileId, u32>,
-    /// Per-group byte aggregates, mirrored at the same four accounting
-    /// choke points as the per-file counters (`agg_insert`, `agg_remove`,
+    /// Cache-group (tenant) ledger, fed at the same four accounting choke
+    /// points as the per-file counters (`agg_insert`, `agg_remove`,
     /// `agg_clean_in_place`, `agg_shrink`), so memcg-style limits are O(1)
     /// to poll.
-    group_bytes: HashMap<u32, GroupBytes>,
+    groups: CacheGroups,
     policy: Box<dyn ReplacementPolicy>,
     /// Cached [`ReplacementPolicy::evictable_tiers`] answer, so the hot
     /// aggregate paths never touch the policy object.
@@ -394,8 +380,7 @@ impl LruLists {
             free_head: NIL,
             lists: std::array::from_fn(|_| ListState::default()),
             per_file: HashMap::new(),
-            group_of: HashMap::new(),
-            group_bytes: HashMap::new(),
+            groups: CacheGroups::default(),
             policy,
             evictable_mask,
         }
@@ -509,154 +494,47 @@ impl LruLists {
             .per_file
             .get(&file)
             .map_or((0.0, 0.0), |f| (f.bytes.cached, f.bytes.dirty));
-        if let Some(old) = self.group_of.get(&file).copied() {
-            if let Some(gb) = self.group_bytes.get_mut(&old) {
-                gb.cached = (gb.cached - cached).max(0.0);
-                gb.dirty = (gb.dirty - dirty).max(0.0);
-            }
-        }
-        match group {
-            Some(g) => {
-                self.group_of.insert(file, g);
-                let gb = self.group_bytes.entry(g).or_default();
-                gb.cached += cached;
-                gb.dirty += dirty;
-            }
-            None => {
-                self.group_of.remove(&file);
-            }
-        }
+        self.groups.assign(&file, group, cached, dirty);
         self.debug_validate();
     }
 
     /// The cache group `file` is assigned to, if any. O(1) expected.
     pub fn file_group(&self, file: &FileId) -> Option<u32> {
-        self.group_of.get(file).copied()
+        self.groups.group_of(file)
     }
 
     /// Cached bytes of cache group `group` (clean + dirty, all tiers). O(1).
     pub fn group_cached(&self, group: u32) -> f64 {
-        self.group_bytes.get(&group).map_or(0.0, |g| g.cached)
+        self.groups.cached(group)
     }
 
     /// Dirty bytes of cache group `group` (all tiers). O(1).
     pub fn group_dirty(&self, group: u32) -> f64 {
-        self.group_bytes.get(&group).map_or(0.0, |g| g.dirty)
+        self.groups.dirty(group)
     }
 
     /// Removes up to `amount` bytes of clean data belonging to cache group
-    /// `group` from the evictable tiers — the group-scoped analogue of
-    /// [`LruLists::evict`], same tier order, same LRU order, same
-    /// second-chance passes under reference-bit policies. Blocks of other
-    /// groups (or of no group) are skipped, so one tenant's overflow never
-    /// reclaims a neighbour's pages. Returns the number of bytes evicted.
+    /// `group` from the evictable tiers: the [`LruLists::evict`] walk (same
+    /// tier order, LRU order and second-chance passes) with only the group's
+    /// blocks as candidates, so one tenant's overflow never reclaims a
+    /// neighbour's pages. Returns the number of bytes evicted.
     pub fn evict_group(&mut self, amount: f64, group: u32) -> f64 {
         if amount <= EPSILON || self.group_cached(group) <= EPSILON {
             return 0.0;
         }
         self.balance();
-        let mut evicted = 0.0;
-        let order = self.policy.tier_order();
-        let use_ref = self.policy.uses_reference_bits();
-        let passes = if use_ref { 2 } else { 1 };
-        'reclaim: for pass in 0..passes {
-            for t in order {
-                if !self.evictable_mask[t] {
-                    continue;
-                }
-                let mut i = self.lists[t].recency.head;
-                while i != NIL && evicted < amount - EPSILON {
-                    let next = node_ref(&self.arena, i).links[RECENCY].next;
-                    let is_candidate = {
-                        let b = &node_ref(&self.arena, i).block;
-                        !b.dirty && self.group_of.get(&b.file) == Some(&group)
-                    };
-                    if is_candidate {
-                        if pass == 0 && use_ref && node_ref(&self.arena, i).referenced {
-                            // Second chance: spare the block once.
-                            node_mut(&mut self.arena, i).referenced = false;
-                        } else {
-                            let need = amount - evicted;
-                            let size = node_ref(&self.arena, i).block.size;
-                            if size <= need + EPSILON {
-                                let blk = self.remove_node(i);
-                                evicted += blk.size;
-                                self.policy.on_evict(&blk.file, t);
-                            } else {
-                                node_mut(&mut self.arena, i).block.size -= need;
-                                let file = node_ref(&self.arena, i).block.file.clone();
-                                self.agg_shrink(t, &file, need, false);
-                                evicted += need;
-                                self.policy.on_evict(&file, t);
-                                break 'reclaim;
-                            }
-                        }
-                    }
-                    i = next;
-                }
-                if evicted >= amount - EPSILON {
-                    break 'reclaim;
-                }
-            }
-        }
-        self.debug_validate();
-        evicted
+        self.reclaim(amount, amount, Scope::Group(group))
     }
 
     /// Marks up to `amount` bytes of dirty data belonging to cache group
-    /// `group` as clean, least recently used first — the group-scoped
-    /// analogue of [`LruLists::flush_lru`], walking the per-tier dirty
-    /// chains and skipping other groups' blocks. Returns the number of bytes
-    /// flushed; the caller simulates the corresponding disk write.
+    /// `group` as clean: the [`LruLists::flush_lru`] walk with only the
+    /// group's blocks as candidates. Returns the number of bytes flushed;
+    /// the caller simulates the corresponding disk write.
     pub fn flush_group(&mut self, amount: f64, group: u32) -> f64 {
         if amount <= EPSILON || self.group_dirty(group) <= EPSILON {
             return 0.0;
         }
-        let mut flushed = 0.0;
-        for t in self.policy.tier_order() {
-            if self.lists[t].agg.dirty <= EPSILON {
-                continue;
-            }
-            let mut i = self.lists[t].dirty.head;
-            while i != NIL {
-                let next = node_ref(&self.arena, i).links[DIRTY].next;
-                if flushed >= amount - EPSILON {
-                    self.debug_validate();
-                    return flushed;
-                }
-                let is_candidate = {
-                    let b = &node_ref(&self.arena, i).block;
-                    self.group_of.get(&b.file) == Some(&group)
-                };
-                if is_candidate {
-                    let need = amount - flushed;
-                    let size = node_ref(&self.arena, i).block.size;
-                    if size <= need + EPSILON {
-                        node_mut(&mut self.arena, i).block.dirty = false;
-                        let file = node_ref(&self.arena, i).block.file.clone();
-                        self.unlink_dirty(i);
-                        flushed += size;
-                        self.agg_clean_in_place(t, &file, size);
-                        self.try_coalesce(i);
-                    } else {
-                        let mut head = node_mut(&mut self.arena, i).block.split_off(need);
-                        head.dirty = false;
-                        flushed += head.size;
-                        let file = head.file.clone();
-                        let head_size = head.size;
-                        let head_idx = self.insert_node_before(t, head, i);
-                        self.agg_clean_in_place(t, &file, head_size);
-                        self.agg_note_split(&file);
-                        self.try_coalesce(head_idx);
-                        self.debug_validate();
-                        return flushed;
-                    }
-                }
-                i = next;
-            }
-        }
-        self.debug_validate();
-        flushed
+        self.flush_walk(amount, Scope::Group(group))
     }
 
     /// Iterates over all blocks, tier 0 first, LRU first within each tier.
@@ -722,13 +600,8 @@ impl LruLists {
     /// need its metadata; chain membership is handled separately.
     fn agg_insert(&mut self, tier: usize, block: &DataBlock) {
         self.lists[tier].agg.add(block.size, block.dirty);
-        if let Some(&g) = self.group_of.get(&block.file) {
-            let gb = self.group_bytes.entry(g).or_default();
-            gb.cached += block.size;
-            if block.dirty {
-                gb.dirty += block.size;
-            }
-        }
+        let dirty = if block.dirty { block.size } else { 0.0 };
+        self.groups.adjust(&block.file, block.size, dirty);
         let evictable = self.evictable_mask[tier];
         let f = &mut self.per_file.entry(block.file.clone()).or_default().bytes;
         f.cached += block.size;
@@ -748,14 +621,8 @@ impl LruLists {
     /// per-file entry once its last block is gone.
     fn agg_remove(&mut self, tier: usize, block: &DataBlock) {
         self.lists[tier].agg.sub(block.size, block.dirty);
-        if let Some(&g) = self.group_of.get(&block.file) {
-            if let Some(gb) = self.group_bytes.get_mut(&g) {
-                gb.cached = (gb.cached - block.size).max(0.0);
-                if block.dirty {
-                    gb.dirty = (gb.dirty - block.size).max(0.0);
-                }
-            }
-        }
+        let dirty = if block.dirty { block.size } else { 0.0 };
+        self.groups.adjust(&block.file, -block.size, -dirty);
         let evictable = self.evictable_mask[tier];
         if let Some(entry) = self.per_file.get_mut(&block.file) {
             let f = &mut entry.bytes;
@@ -785,11 +652,7 @@ impl LruLists {
     fn agg_clean_in_place(&mut self, tier: usize, file: &FileId, amount: f64) {
         let agg = &mut self.lists[tier].agg;
         agg.dirty = (agg.dirty - amount).max(0.0);
-        if let Some(&g) = self.group_of.get(file) {
-            if let Some(gb) = self.group_bytes.get_mut(&g) {
-                gb.dirty = (gb.dirty - amount).max(0.0);
-            }
-        }
+        self.groups.adjust(file, 0.0, -amount);
         let evictable = self.evictable_mask[tier];
         if let Some(f) = self.per_file.get_mut(file) {
             f.bytes.dirty = (f.bytes.dirty - amount).max(0.0);
@@ -804,14 +667,8 @@ impl LruLists {
     /// head is accounted separately when it is re-inserted).
     fn agg_shrink(&mut self, tier: usize, file: &FileId, amount: f64, dirty: bool) {
         self.lists[tier].agg.sub(amount, dirty);
-        if let Some(&g) = self.group_of.get(file) {
-            if let Some(gb) = self.group_bytes.get_mut(&g) {
-                gb.cached = (gb.cached - amount).max(0.0);
-                if dirty {
-                    gb.dirty = (gb.dirty - amount).max(0.0);
-                }
-            }
-        }
+        self.groups
+            .adjust(file, -amount, if dirty { -amount } else { 0.0 });
         let evictable = self.evictable_mask[tier];
         if let Some(f) = self.per_file.get_mut(file) {
             let f = &mut f.bytes;
@@ -1117,6 +974,14 @@ impl LruLists {
         if amount <= EPSILON || self.total_dirty() <= EPSILON {
             return 0.0;
         }
+        self.flush_walk(amount, Scope::Except(exclude))
+    }
+
+    /// The dirty-flush walk behind [`LruLists::flush_lru`] and
+    /// [`LruLists::flush_group`]: cleans up to `amount` bytes of the dirty
+    /// blocks `scope` admits, tier by tier in the policy's reclaim-first
+    /// order, LRU first, splitting the last block.
+    fn flush_walk(&mut self, amount: f64, scope: Scope<'_>) -> f64 {
         let mut flushed = 0.0;
         for t in self.policy.tier_order() {
             if self.lists[t].agg.dirty <= EPSILON {
@@ -1129,9 +994,10 @@ impl LruLists {
                     self.debug_validate();
                     return flushed;
                 }
-                let is_candidate =
-                    exclude.is_none_or(|f| &node_ref(&self.arena, i).block.file != f);
-                if is_candidate {
+                if self
+                    .groups
+                    .admits(scope, &node_ref(&self.arena, i).block.file)
+                {
                     let need = amount - flushed;
                     let size = node_ref(&self.arena, i).block.size;
                     if size <= need + EPSILON {
@@ -1190,7 +1056,15 @@ impl LruLists {
         if available <= EPSILON {
             return 0.0;
         }
-        let target = amount.min(available);
+        self.reclaim(amount, amount.min(available), Scope::Except(exclude))
+    }
+
+    /// The clean-eviction walk behind [`LruLists::evict`] and
+    /// [`LruLists::evict_group`]: removes clean blocks `scope` admits from
+    /// the evictable tiers until `target` bytes are gone, splitting the last
+    /// block at `amount` (second-chance passes under reference-bit
+    /// policies).
+    fn reclaim(&mut self, amount: f64, target: f64, scope: Scope<'_>) -> f64 {
         let mut evicted = 0.0;
         let order = self.policy.tier_order();
         let use_ref = self.policy.uses_reference_bits();
@@ -1205,7 +1079,7 @@ impl LruLists {
                     let next = node_ref(&self.arena, i).links[RECENCY].next;
                     let is_candidate = {
                         let b = &node_ref(&self.arena, i).block;
-                        !b.dirty && exclude.is_none_or(|f| &b.file != f)
+                        !b.dirty && self.groups.admits(scope, &b.file)
                     };
                     if is_candidate {
                         if pass == 0 && use_ref && node_ref(&self.arena, i).referenced {
@@ -1551,45 +1425,10 @@ impl LruLists {
                 }
             }
         }
-        // Group aggregates: recompute each group's cached/dirty sums from a
-        // full block scan and compare; tracked groups absent from the scan
-        // must have (approximately) zero counters.
-        let mut group_scan: HashMap<u32, GroupBytes> = HashMap::new();
-        for t in 0..MAX_TIERS {
-            for b in self.tier_blocks(t) {
-                if let Some(&g) = self.group_of.get(&b.file) {
-                    let gb = group_scan.entry(g).or_default();
-                    gb.cached += b.size;
-                    if b.dirty {
-                        gb.dirty += b.size;
-                    }
-                }
-            }
-        }
-        for (&g, expected) in &group_scan {
-            let actual = self.group_bytes.get(&g).copied().unwrap_or_default();
-            if !close(actual.cached, expected.cached) {
-                return Err(format!(
-                    "group {g}: cached counter {} != scan {}",
-                    actual.cached, expected.cached
-                ));
-            }
-            if !close(actual.dirty, expected.dirty) {
-                return Err(format!(
-                    "group {g}: dirty counter {} != scan {}",
-                    actual.dirty, expected.dirty
-                ));
-            }
-        }
-        for (&g, gb) in &self.group_bytes {
-            if !group_scan.contains_key(&g) && (gb.cached > EPSILON || gb.dirty > EPSILON) {
-                return Err(format!(
-                    "group {g}: counters ({}, {}) but no blocks in the scan",
-                    gb.cached, gb.dirty
-                ));
-            }
-        }
-        Ok(())
+        self.groups.check_scan(
+            self.iter_all()
+                .map(|b| (&b.file, b.size, if b.dirty { b.size } else { 0.0 })),
+        )
     }
 
     /// Scan-based oracle for one tier's aggregates.

@@ -25,6 +25,7 @@ use storage_model::{Disk, MemoryDevice};
 
 use crate::block::FileId;
 use crate::config::PageCacheConfig;
+use crate::group::GroupLimits;
 use crate::lru::{LruLists, EPSILON};
 use crate::stats::{CacheContentSnapshot, MemorySample, MemoryTrace};
 
@@ -227,16 +228,8 @@ impl MemoryManager {
     /// time is simulated. Returns the number of bytes flushed. Non-positive
     /// amounts are a no-op.
     pub async fn flush(&self, amount: f64, exclude: Option<&FileId>) -> f64 {
-        let flushed = {
-            let mut s = self.state.borrow_mut();
-            let flushed = s.lru.flush_lru(amount, exclude);
-            s.counters.flushed_on_demand += flushed;
-            flushed
-        };
-        if flushed > EPSILON {
-            self.disk.write(flushed).await;
-        }
-        flushed
+        self.flush_on_demand(|lru| lru.flush_lru(amount, exclude))
+            .await
     }
 
     /// Flushes every dirty byte of one file to disk (the cache side of an
@@ -244,9 +237,15 @@ impl MemoryManager {
     /// simulates the disk write. Counted as synchronous (on-demand) flushing.
     /// Returns the number of bytes written back.
     pub async fn flush_file(&self, file: &FileId) -> f64 {
+        self.flush_on_demand(|lru| lru.flush_file(file)).await
+    }
+
+    /// Runs a synchronous flush walk over the LRU lists, counts its bytes
+    /// as on-demand flushing and simulates their disk write.
+    async fn flush_on_demand(&self, walk: impl FnOnce(&mut LruLists) -> f64) -> f64 {
         let flushed = {
             let mut s = self.state.borrow_mut();
-            let flushed = s.lru.flush_file(file);
+            let flushed = walk(&mut s.lru);
             s.counters.flushed_on_demand += flushed;
             flushed
         };
@@ -301,77 +300,6 @@ impl MemoryManager {
             .borrow_mut()
             .lru
             .set_file_group(file.clone(), group);
-    }
-
-    /// Cached bytes (clean + dirty) currently attributed to a cache group.
-    pub fn group_cached(&self, group: u32) -> f64 {
-        self.state.borrow().lru.group_cached(group)
-    }
-
-    /// Dirty bytes currently attributed to a cache group.
-    pub fn group_dirty(&self, group: u32) -> f64 {
-        self.state.borrow().lru.group_dirty(group)
-    }
-
-    /// Evicts up to `amount` bytes of clean data belonging to one cache
-    /// group, least recently used first. Like [`MemoryManager::evict`] it
-    /// takes no simulated time. Returns the number of bytes evicted.
-    pub fn evict_group(&self, amount: f64, group: u32) -> f64 {
-        let mut s = self.state.borrow_mut();
-        let evicted = s.lru.evict_group(amount, group);
-        s.counters.evicted += evicted;
-        evicted
-    }
-
-    /// Flushes up to `amount` bytes of one cache group's dirty data to disk,
-    /// least recently used first. The disk write time is simulated; the bytes
-    /// are counted as synchronous (on-demand) flushing. Returns the number of
-    /// bytes written back.
-    pub async fn flush_group(&self, amount: f64, group: u32) -> f64 {
-        let flushed = {
-            let mut s = self.state.borrow_mut();
-            let flushed = s.lru.flush_group(amount, group);
-            s.counters.flushed_on_demand += flushed;
-            flushed
-        };
-        if flushed > EPSILON {
-            self.disk.write(flushed).await;
-        }
-        flushed
-    }
-
-    /// Enforces memcg-style limits on one cache group: first writes back the
-    /// group's dirty data above `max_dirty`, then evicts the group's clean
-    /// data above `max_bytes`; if the group still exceeds its cap because the
-    /// overflow is dirty, that remainder is flushed and evicted too. Disk
-    /// write time is simulated. Returns `(evicted, flushed)` byte totals.
-    pub async fn enforce_group_limits(
-        &self,
-        group: u32,
-        max_bytes: f64,
-        max_dirty: f64,
-    ) -> (f64, f64) {
-        let mut flushed = 0.0;
-        let over_dirty = self.group_dirty(group) - max_dirty;
-        if over_dirty > EPSILON {
-            flushed += self.flush_group(over_dirty, group).await;
-        }
-        let mut evicted = 0.0;
-        let over = self.group_cached(group) - max_bytes;
-        if over > EPSILON {
-            evicted += self.evict_group(over, group);
-        }
-        // Whatever is still above the cap must be dirty: clean it, then
-        // evict again.
-        let still_over = self.group_cached(group) - max_bytes;
-        if still_over > EPSILON {
-            flushed += self.flush_group(still_over, group).await;
-            let rest = self.group_cached(group) - max_bytes;
-            if rest > EPSILON {
-                evicted += self.evict_group(rest, group);
-            }
-        }
-        (evicted, flushed)
     }
 
     /// Simulated power loss: drops the entire page cache (clean and dirty)
@@ -477,6 +405,30 @@ impl MemoryManager {
     /// simulation terminates once applications complete).
     pub fn stop(&self) {
         self.state.borrow_mut().stop_flusher = true;
+    }
+}
+
+/// Group eviction takes no simulated time, like [`MemoryManager::evict`];
+/// group flushing is counted as synchronous (on-demand) flushing.
+impl GroupLimits for MemoryManager {
+    fn group_cached(&self, group: u32) -> f64 {
+        self.state.borrow().lru.group_cached(group)
+    }
+
+    fn group_dirty(&self, group: u32) -> f64 {
+        self.state.borrow().lru.group_dirty(group)
+    }
+
+    fn evict_group(&self, amount: f64, group: u32) -> f64 {
+        let mut s = self.state.borrow_mut();
+        let evicted = s.lru.evict_group(amount, group);
+        s.counters.evicted += evicted;
+        evicted
+    }
+
+    async fn flush_group(&self, amount: f64, group: u32) -> f64 {
+        self.flush_on_demand(|lru| lru.flush_group(amount, group))
+            .await
     }
 }
 

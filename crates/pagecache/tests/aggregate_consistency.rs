@@ -9,7 +9,7 @@
 //! within `EPSILON`. The scan here is written against the public block
 //! iterators, independently of the `recompute_*` oracles inside the crate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use des::SimTime;
 use pagecache::{FileId, LruLists, EPSILON};
@@ -567,7 +567,7 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
                     naive.evict(amount, exclude),
                 )
             }
-            _ => match rng.usize(0, 3) {
+            _ => match rng.usize(0, 4) {
                 0 => (
                     "flush_expired",
                     arena.flush_expired(now, 5.0),
@@ -667,10 +667,14 @@ struct NBlock {
 /// FIFO, MGLRU's aging ring) evolve identically on both sides. `on_evict`
 /// call counts may differ where the arena coalesced adjacent blocks, which
 /// is safe because 2Q's ghost insert is push-if-absent.
+///
+/// Cache groups (tenants) are a plain file -> group map: group totals are
+/// scans, and the group walks are the global walks with a group filter.
 struct NaivePolicy {
     tiers: [VecDeque<NBlock>; MAX_TIERS],
     policy: Box<dyn ReplacementPolicy>,
     evictable_mask: [bool; MAX_TIERS],
+    group_of: HashMap<FileId, u32>,
 }
 
 impl NaivePolicy {
@@ -681,7 +685,36 @@ impl NaivePolicy {
             tiers: std::array::from_fn(|_| VecDeque::new()),
             policy,
             evictable_mask,
+            group_of: HashMap::new(),
         }
+    }
+
+    fn set_file_group(&mut self, file: &FileId, group: Option<u32>) {
+        match group {
+            Some(g) => self.group_of.insert(file.clone(), g),
+            None => self.group_of.remove(file),
+        };
+    }
+
+    fn in_group(&self, group: u32) -> impl Fn(&FileId) -> bool {
+        let members = self.group_of.clone();
+        move |f| members.get(f) == Some(&group)
+    }
+
+    fn group_cached(&self, group: u32) -> f64 {
+        let member = self.in_group(group);
+        self.blocks()
+            .filter(|b| member(&b.file))
+            .map(|b| b.size)
+            .sum()
+    }
+
+    fn group_dirty(&self, group: u32) -> f64 {
+        let member = self.in_group(group);
+        self.blocks()
+            .filter(|b| b.dirty && member(&b.file))
+            .map(|b| b.size)
+            .sum()
     }
 
     fn tier_bytes(&self) -> [f64; MAX_TIERS] {
@@ -863,6 +896,20 @@ impl NaivePolicy {
         if amount <= EPSILON || self.total_dirty() <= EPSILON {
             return 0.0;
         }
+        self.flush_where(amount, |f| exclude != Some(f))
+    }
+
+    fn flush_group(&mut self, amount: f64, group: u32) -> f64 {
+        if amount <= EPSILON || self.group_dirty(group) <= EPSILON {
+            return 0.0;
+        }
+        let member = self.in_group(group);
+        self.flush_where(amount, member)
+    }
+
+    /// Flushes dirty blocks whose file passes `admits`, LRU first, tiers in
+    /// the policy's reclaim-first order.
+    fn flush_where(&mut self, amount: f64, admits: impl Fn(&FileId) -> bool) -> f64 {
         let mut flushed = 0.0;
         for t in self.policy.tier_order() {
             let tier_dirty: f64 = self.tiers[t]
@@ -879,7 +926,7 @@ impl NaivePolicy {
                     return flushed;
                 }
                 let is_candidate =
-                    self.tiers[t][i].block.dirty && exclude != Some(&self.tiers[t][i].block.file);
+                    self.tiers[t][i].block.dirty && admits(&self.tiers[t][i].block.file);
                 if is_candidate {
                     let need = amount - flushed;
                     let size = self.tiers[t][i].block.size;
@@ -916,7 +963,22 @@ impl NaivePolicy {
         if available <= EPSILON {
             return 0.0;
         }
-        let target = amount.min(available);
+        self.reclaim(amount, amount.min(available), |f| exclude != Some(f))
+    }
+
+    fn evict_group(&mut self, amount: f64, group: u32) -> f64 {
+        if amount <= EPSILON || self.group_cached(group) <= EPSILON {
+            return 0.0;
+        }
+        self.balance();
+        let member = self.in_group(group);
+        self.reclaim(amount, amount, member)
+    }
+
+    /// Evicts clean blocks whose file passes `admits` from the evictable
+    /// tiers until `target` bytes are gone, splitting the last block at
+    /// `amount`; second-chance passes under reference-bit policies.
+    fn reclaim(&mut self, amount: f64, target: f64, admits: impl Fn(&FileId) -> bool) -> f64 {
         let mut evicted = 0.0;
         let order = self.policy.tier_order();
         let use_ref = self.policy.uses_reference_bits();
@@ -930,7 +992,7 @@ impl NaivePolicy {
                 while i < self.tiers[t].len() && evicted < target - EPSILON {
                     let is_candidate = {
                         let b = &self.tiers[t][i].block;
-                        !b.dirty && exclude != Some(&b.file)
+                        !b.dirty && admits(&b.file)
                     };
                     if is_candidate {
                         if pass == 0 && use_ref && self.tiers[t][i].referenced {
@@ -1031,11 +1093,14 @@ impl NaivePolicy {
 /// Drives the arena under `kind` and the naive generalized model through the
 /// same 10k random operations, asserting after every single one that the
 /// operation results and every byte aggregate — including the per-tier byte
-/// and dirty totals, which pin down identical victim selection — agree
-/// within `EPSILON`.
+/// and dirty totals, which pin down identical victim selection, and the
+/// per-group totals under random cache-group assignment, group eviction and
+/// group flushing — agree within `EPSILON`.
 fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
     const OPS: usize = 10_000;
     const FILES: usize = 8;
+    // Files are assigned to groups 1..=GROUPS or to none.
+    const GROUPS: u32 = 2;
     let files: Vec<FileId> = (0..FILES)
         .map(|i| FileId::new(format!("file_{i}")))
         .collect();
@@ -1051,7 +1116,7 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
         }
         let now = SimTime::from_secs(clock);
         let file = &files[rng.usize(0, FILES)];
-        let (what, a, b) = match rng.usize(0, 10) {
+        let (what, a, b) = match rng.usize(0, 13) {
             0..=2 => {
                 let size = rng.f64(0.5, 400.0);
                 arena.add_clean(file.clone(), size, now);
@@ -1090,7 +1155,31 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
                     naive.evict(amount, exclude),
                 )
             }
-            _ => match rng.usize(0, 3) {
+            9 => {
+                let group = (1..=GROUPS).nth(rng.usize(0, 3));
+                arena.set_file_group(file.clone(), group);
+                naive.set_file_group(file, group);
+                ("set_file_group", 0.0, 0.0)
+            }
+            10 => {
+                let amount = rng.f64(0.0, 900.0);
+                let group = 1 + rng.usize(0, 2) as u32;
+                (
+                    "evict_group",
+                    arena.evict_group(amount, group),
+                    naive.evict_group(amount, group),
+                )
+            }
+            11 => {
+                let amount = rng.f64(0.0, 900.0);
+                let group = 1 + rng.usize(0, 2) as u32;
+                (
+                    "flush_group",
+                    arena.flush_group(amount, group),
+                    naive.flush_group(amount, group),
+                )
+            }
+            _ => match rng.usize(0, 4) {
                 0 => (
                     "flush_expired",
                     arena.flush_expired(now, 5.0),
@@ -1110,6 +1199,20 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
             },
         };
         assert_close(&format!("{kind}: {what} result"), a, b, op);
+        for g in 1..=GROUPS {
+            assert_close(
+                &format!("{kind}: group {g} cached"),
+                arena.group_cached(g),
+                naive.group_cached(g),
+                op,
+            );
+            assert_close(
+                &format!("{kind}: group {g} dirty"),
+                arena.group_dirty(g),
+                naive.group_dirty(g),
+                op,
+            );
+        }
         // Per-tier totals, not just the evictable/protected split: stateful
         // policies (MGLRU's ring, 2Q's ghosts) take per-tier bytes as their
         // decision input, so any drift here would snowball into different

@@ -40,7 +40,8 @@ use std::collections::BTreeMap;
 use des::SimContext;
 use kernel_emu::{KernelCache, KernelFileSystem, KernelFsError, KernelTuning};
 use pagecache::{
-    clamp_io_range, FileId, IoController, IoOpStats, MemoryManager, MemorySample, PageCacheConfig,
+    clamp_io_range, FileId, GroupLimits, IoController, IoOpStats, MemoryManager, MemorySample,
+    PageCacheConfig,
 };
 use simfs::{
     extend_for_write, CachedFileSystem, DirectFileSystem, FsError, NfsFileSystem, NfsServer,
@@ -237,13 +238,16 @@ pub trait IoBackend {
     }
 
     /// Assigns `file` to a cache group (tenant) for memcg-style accounting.
-    /// No-op on back-ends without a cache model.
+    /// The page-cache, kernel-emulator and NFS back-ends assign it in their
+    /// (client) cache; a no-op on back-ends without a cache model and on the
+    /// fleet back-end, whose per-node caches take no tenant caps.
     fn set_file_group(&self, _file: &FileId, _group: u32) {}
 
-    /// Enforces per-group cache limits: writes back the group's dirty bytes
-    /// above `max_dirty` and evicts its cached bytes above `max_bytes`.
-    /// Returns `(evicted, flushed)`; `(0.0, 0.0)` on back-ends without a
-    /// cache model (nothing is cached, so every limit trivially holds).
+    /// Enforces per-group cache limits with [`GroupLimits`]: writes back the
+    /// group's dirty bytes above `max_dirty` and evicts its cached bytes
+    /// above `max_bytes`. Returns `(evicted, flushed)`; `(0.0, 0.0)` where
+    /// [`IoBackend::set_file_group`] is a no-op (no group holds any bytes,
+    /// so every limit trivially holds).
     async fn enforce_group_limits(
         &self,
         _group: u32,
@@ -493,6 +497,17 @@ impl IoBackend for NfsFileSystem {
             synchronous_flushed: c.flushed_on_demand,
             evicted: c.evicted,
         })
+    }
+
+    fn set_file_group(&self, file: &FileId, group: u32) {
+        self.client_memory_manager()
+            .set_file_group(file, Some(group));
+    }
+
+    async fn enforce_group_limits(&self, group: u32, max_bytes: f64, max_dirty: f64) -> (f64, f64) {
+        self.client_memory_manager()
+            .enforce_group_limits(group, max_bytes, max_dirty)
+            .await
     }
 
     fn crash(&self) -> CrashReport {

@@ -1066,6 +1066,45 @@ mod tests {
     }
 
     #[test]
+    fn tenant_limits_hold_on_the_nfs_client_cache() {
+        const CAP: f64 = 64.0 * MB;
+        const REQUEST: f64 = 4.0 * MB;
+        let run = |tenant: Option<TenantSpec>| {
+            // One closed-loop client keeps one request in flight, and the
+            // limits are enforced after each request: a sample can catch the
+            // client cache at most one request (<= 1.5x the mean) over.
+            let mut spec = TrafficSpec::closed("nfs", 1, 0.001, 300)
+                .with_catalog(64, 32.0 * MB)
+                .with_request_bytes(REQUEST)
+                .with_read_fraction(1.0)
+                .with_seed(23);
+            if let Some(t) = tenant {
+                spec = spec.with_tenant(t);
+            }
+            let scenario = Scenario::new(platform().with_nfs(), no_app(), SimulatorKind::PageCache)
+                .with_traffic(vec![spec])
+                .with_sample_interval(Some(0.005));
+            run_scenario(&scenario).unwrap()
+        };
+        let max_cached = |r: &ScenarioReport| r.memory_trace.as_ref().unwrap().max_cached();
+        let uncapped = run(None);
+        assert!(
+            max_cached(&uncapped) > 4.0 * CAP,
+            "{}",
+            max_cached(&uncapped)
+        );
+        let capped = run(Some(TenantSpec::capped(CAP)));
+        assert!(
+            max_cached(&capped) <= CAP + 1.5 * REQUEST,
+            "client cache {} over the {CAP} cap",
+            max_cached(&capped)
+        );
+        let gen = capped.traffic.as_ref().unwrap().generator("nfs").unwrap();
+        assert_eq!(gen.completed, 300);
+        assert!(gen.limit_evicted > 0.0);
+    }
+
+    #[test]
     fn traffic_failures_are_counted_not_fatal() {
         use crate::faults::{ErrorMode, FaultEvent, FaultPlan, IoErrorSpec, OpClass};
         let spec = TrafficSpec::open("faulty", 200.0, 200)

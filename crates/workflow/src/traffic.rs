@@ -37,9 +37,11 @@
 //! memcg-style limits: after each completed request the generator asks the
 //! back-end to enforce `max_cache_bytes` / `max_dirty_bytes` on its group
 //! (writing back and evicting *only that group's* pages — see
-//! `MemoryManager::enforce_group_limits` and
-//! `KernelCache::enforce_group_limits`). Two generators on one host can
-//! therefore model a noisy neighbor with and without cache isolation.
+//! [`pagecache::group`], whose one limit algorithm,
+//! [`GroupLimits::enforce_group_limits`](pagecache::GroupLimits::enforce_group_limits),
+//! runs on the page-cache model, the kernel emulator and the NFS client
+//! cache). Two generators on one host can therefore model a noisy neighbor
+//! with and without cache isolation.
 
 use std::cell::RefCell;
 use std::rc::Rc;

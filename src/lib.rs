@@ -47,9 +47,9 @@ pub use workflow;
 pub mod prelude {
     pub use des::{SimContext, SimTime, Simulation};
     pub use pagecache::{
-        FileId, IoController, IoOpStats, MemoryManager, PageCacheConfig, WriteMode,
+        FileId, GroupLimits, IoController, IoOpStats, MemoryManager, PageCacheConfig, WriteMode,
     };
-    pub use simfs::{CachedFileSystem, DirectFileSystem, FileSystem, NfsFileSystem, NfsServer};
+    pub use simfs::{CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
     pub use storage_model::units::{GB, GIB, MB};
     pub use storage_model::{DeviceSpec, Disk, MemoryDevice, NetworkLink, SharedResource};
     pub use workflow::{
